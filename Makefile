@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-full verify serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix bench bench-smoke bench-parallel bench-alloc bench-scan bench-obs bench-serve bench-simd bench-quant
+.PHONY: build vet test race race-full verify perfbench-build serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix bench bench-smoke bench-parallel bench-alloc bench-scan bench-obs bench-serve bench-simd bench-quant
 
 build:
 	$(GO) build ./...
@@ -80,7 +80,15 @@ kernel-matrix:
 	done
 	$(GO) test -race -count=1 -run 'TestGemmKernelDispatchRace' ./internal/tensor
 
-verify: build vet test race serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix bench-quant
+# The benchmark under perfbench/ is its own Go module, so the root
+# build and vet never compile it: this keeps an internal API change it
+# depends on (tensor.ProfileSnapshot, the hsd entry points) from breaking
+# the benchmark while the rest of verify stays green.
+perfbench-build:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench build -o /dev/null .
+
+verify: build vet perfbench-build test race serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix bench-quant
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,7 +1,6 @@
 package hsd
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,11 +35,11 @@ type detectScratch struct {
 	next    []geom.Rect  // cascade RoIs (next iteration)
 }
 
-// topKInto copies clips into dst, sorts them by descending score (stable,
-// matching TopK) and truncates to k. The returned slice aliases dst.
+// topKInto copies clips into dst, sorts them with TopK's stable
+// byScoreDesc ranking and truncates to k. The returned slice aliases dst.
 func topKInto(dst []ScoredClip, clips []ScoredClip, k int) []ScoredClip {
 	dst = append(dst[:0], clips...)
-	slices.SortStableFunc(dst, func(a, b ScoredClip) int { return cmp.Compare(b.Score, a.Score) })
+	slices.SortStableFunc(dst, byScoreDesc)
 	if k > 0 && k < len(dst) {
 		dst = dst[:k]
 	}
@@ -59,7 +58,7 @@ func (m *Model) nmsInto(s *detectScratch, clips []ScoredClip) []ScoredClip {
 	threshold := m.Config.NMSThreshold
 	s.sorted = append(s.sorted[:0], clips...)
 	sorted := s.sorted
-	slices.SortStableFunc(sorted, func(a, b ScoredClip) int { return cmp.Compare(b.Score, a.Score) })
+	slices.SortStableFunc(sorted, byScoreDesc)
 	if cap(s.removed) < len(sorted) {
 		s.removed = make([]bool, len(sorted))
 	}

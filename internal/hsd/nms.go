@@ -1,7 +1,8 @@
 package hsd
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rhsd/internal/geom"
 )
@@ -12,8 +13,17 @@ type ScoredClip struct {
 	Score float64
 }
 
+// byScoreDesc is the one ranking of the package: descending score, with
+// NaN scores last (cmp.Compare orders NaN below every number, and equal
+// to another NaN). TopK, HNMS and ConventionalNMS and their
+// scratch-backed twins on the Detect path (topKInto, nmsInto) all sort
+// stably with it, so Model.Proposals and Detect rank identically even
+// when a score is NaN — a `>` comparator is not a strict weak order
+// once a NaN is present and would leave the input unsorted around it.
+func byScoreDesc(a, b ScoredClip) int { return cmp.Compare(b.Score, a.Score) }
+
 // HNMS implements hotspot non-maximum suppression (Algorithm 1): clips are
-// sorted by descending classification score and a clip is removed when the
+// sorted by descending classification score (byScoreDesc) and a clip is removed when the
 // IoU of its *core region* with a higher-scoring survivor exceeds the
 // threshold. Keying on cores instead of whole clips preserves clips whose
 // outer rings overlap but whose hotspot cores are distinct (Figure 5).
@@ -31,7 +41,7 @@ func ConventionalNMS(clips []ScoredClip, threshold float64) []ScoredClip {
 
 func nms(clips []ScoredClip, threshold float64, overlap func(a, b geom.Rect) float64) []ScoredClip {
 	sorted := append([]ScoredClip(nil), clips...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
+	slices.SortStableFunc(sorted, byScoreDesc)
 	removed := make([]bool, len(sorted))
 	// Disjoint clips (and therefore their cores) have overlap exactly 0,
 	// so for the usual non-negative thresholds the expensive IoU can be
@@ -61,10 +71,10 @@ func nms(clips []ScoredClip, threshold float64, overlap func(a, b geom.Rect) flo
 }
 
 // TopK returns the k highest-scoring clips (all of them when k <= 0 or
-// k >= len).
+// k >= len), ranked by byScoreDesc.
 func TopK(clips []ScoredClip, k int) []ScoredClip {
 	sorted := append([]ScoredClip(nil), clips...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
+	slices.SortStableFunc(sorted, byScoreDesc)
 	if k > 0 && k < len(sorted) {
 		sorted = sorted[:k]
 	}

@@ -1,6 +1,7 @@
 package hsd
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -180,6 +181,59 @@ func TestNMSQuickRejectExact(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d threshold %v: ConventionalNMS diverged from reference", trial, th)
 			}
+		}
+	}
+}
+
+// TestNaNScoreOrdering pins the one ranking the two proposal paths
+// share: finite scores descending, NaN scores last in input order. The
+// allocating TopK/HNMS/ConventionalNMS (Model.Proposals) must return
+// exactly what Detect's scratch-backed topKInto/nmsInto return on the
+// same input — a `>` comparator leaves [0.5 NaN 0.7 0.6 NaN 0.9]
+// unsorted around the NaNs, which is the disagreement this guards.
+func TestNaNScoreOrdering(t *testing.T) {
+	nan := math.NaN()
+	clips := []ScoredClip{
+		sc(10, 10, 8, 8, 0.5),
+		sc(40, 10, 8, 8, nan),
+		sc(70, 10, 8, 8, 0.7),
+		sc(10, 40, 8, 8, 0.6),
+		sc(70, 10, 8, 8, nan), // same clip as the 0.7 one: suppressed
+		sc(40, 40, 8, 8, 0.9),
+	}
+	same := func(label string, want, got []ScoredClip) {
+		t.Helper()
+		if len(want) != len(got) {
+			t.Fatalf("%s: %d clips vs %d", label, len(want), len(got))
+		}
+		for i := range want {
+			if want[i].Clip != got[i].Clip ||
+				math.Float64bits(want[i].Score) != math.Float64bits(got[i].Score) {
+				t.Fatalf("%s: clip %d = %+v vs %+v", label, i, want[i], got[i])
+			}
+		}
+	}
+
+	ranked := TopK(clips, 0)
+	order := []int{5, 2, 3, 0, 1, 4}
+	for i, src := range order {
+		if ranked[i].Clip != clips[src].Clip {
+			t.Fatalf("TopK rank %d is input clip with score %v, want input %d (score %v)",
+				i, ranked[i].Score, src, clips[src].Score)
+		}
+	}
+	for k := 0; k <= len(clips); k++ {
+		same("TopK vs topKInto", TopK(clips, k), topKInto(nil, clips, k))
+	}
+
+	for _, conventional := range []bool{false, true} {
+		m := &Model{Config: TinyConfig()}
+		m.Config.ConventionalNMS = conventional
+		want := m.nms(clips)
+		got := m.nmsInto(&detectScratch{}, clips)
+		same("nms vs nmsInto", want, got)
+		if n := len(want); n != 5 || !math.IsNaN(want[n-1].Score) {
+			t.Fatalf("conventional=%v: survivors %+v, want 5 ending in the lone NaN clip", conventional, want)
 		}
 	}
 }

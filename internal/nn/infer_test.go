@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -104,5 +105,67 @@ func TestInferSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state Infer allocated %.0f times per run, want 0", allocs)
+	}
+}
+
+// TestInferDecoderReleasesColumns guards the column-buffer release on a
+// decoder-shaped stack (three 3×3 deconvs narrowing 20→16→12→8 channels
+// at 16×16, the encoder-decoder's 160→128→96→64 at 1/8 width). Each
+// deconv hands its column matrix back as soon as it is scattered, so the
+// third layer reuses the second's same-size-class columns: the pass
+// retains one column buffer fewer than the layers do on their own. The
+// stack must still match Forward bit for bit and allocate nothing in
+// steady state.
+func TestInferDecoderReleasesColumns(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	rng := rand.New(rand.NewSource(13))
+	const hw = 16 * 16
+	chans := []int{20, 16, 12, 8}
+	net := NewSequential()
+	var decs []*Deconv2D
+	for i := 0; i+1 < len(chans); i++ {
+		d := NewDeconv2D("dec", chans[i], chans[i+1], 3, 1, 1, rng)
+		decs = append(decs, d)
+		net.Append(d, NewLeakyReLU(0.05))
+	}
+	x := tensor.New(1, chans[0], 16, 16)
+	for i := range x.Data() {
+		x.Data()[i] = float32(rng.NormFloat64())
+	}
+
+	want := net.Forward(x)
+	ws := tensor.NewWorkspace()
+	for pass := 0; pass < 2; pass++ {
+		ws.Reset()
+		assertSameTensor(t, "decoder infer", want, net.Infer(x, ws))
+	}
+	stacked := ws.Footprint()
+
+	// Each layer alone retains its output plus its column matrix.
+	alone := 0
+	in := x
+	for _, d := range decs {
+		lws := tensor.NewWorkspace()
+		d.Infer(in, lws)
+		alone += lws.Footprint()
+		in = d.Forward(in)
+	}
+	pow2 := func(n int) int { return 1 << bits.Len(uint(n-1)) }
+	col2, col3 := pow2(chans[2]*9*hw), pow2(chans[3]*9*hw)
+	if col2 != col3 {
+		t.Fatalf("fixture broken: column classes %d and %d differ", col2, col3)
+	}
+	if stacked != alone-col3 {
+		t.Fatalf("decoder footprint %d floats, want %d (layers alone %d minus one %d-float column buffer)",
+			stacked, alone-col3, alone, col3)
+	}
+
+	allocs := testing.AllocsPerRun(10, func() {
+		ws.Reset()
+		net.Infer(x, ws)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state decoder Infer allocated %.0f times per run, want 0", allocs)
 	}
 }

@@ -11,9 +11,10 @@ import (
 // They differ from the training entry points (conv.go) in exactly two
 // ways: all scratch and output memory comes from a caller-owned Workspace
 // instead of the heap, and the bias + leaky-ReLU epilogue is fused into
-// the output sweep. The arithmetic — values, accumulation order, padding
-// semantics — is identical, so inference results match the training-path
-// Forward bit for bit.
+// the output — finished tile by tile inside the packed GEMM on the fused
+// conv path, in one sweep after the product otherwise. The arithmetic —
+// values, accumulation order, padding semantics — is identical, so
+// inference results match the training-path Forward bit for bit.
 
 // Epilogue describes the fused per-channel tail of a convolution: an
 // optional bias add followed by an optional leaky ReLU. Applying it in
@@ -24,6 +25,32 @@ type Epilogue struct {
 	Bias  *Tensor // [OC] channel bias, nil for none
 	Act   bool    // apply leaky ReLU after the bias
 	Slope float32 // negative-side slope (0 = plain ReLU)
+}
+
+// apply runs the epilogue over row, a run of output channel ch. With
+// the activation on, a nil bias still adds +0 — the value the unfused
+// activation layer sees — which turns −0 into +0.
+func (ep Epilogue) apply(row []float32, ch int) {
+	if ep.Bias == nil && !ep.Act {
+		return
+	}
+	var b float32
+	if ep.Bias != nil {
+		b = ep.Bias.data[ch]
+	}
+	if !ep.Act {
+		for j := range row {
+			row[j] += b
+		}
+		return
+	}
+	for j, v := range row {
+		v += b
+		if v < 0 {
+			v *= ep.Slope
+		}
+		row[j] = v
+	}
 }
 
 // epilogueSweep applies ep to t [N,C,...] in a single pass.
@@ -38,24 +65,7 @@ func epilogueSweep(t *Tensor, ep Epilogue) {
 	plane := t.Size() / (n * c)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
-			var b float32
-			if ep.Bias != nil {
-				b = ep.Bias.data[ch]
-			}
-			seg := t.data[(i*c+ch)*plane : (i*c+ch+1)*plane]
-			if ep.Act {
-				for j, v := range seg {
-					v += b
-					if v < 0 {
-						v *= ep.Slope
-					}
-					seg[j] = v
-				}
-			} else {
-				for j := range seg {
-					seg[j] += b
-				}
-			}
+			ep.apply(t.data[(i*c+ch)*plane:(i*c+ch+1)*plane], ch)
 		}
 	}
 }
@@ -156,6 +166,20 @@ func col2imChans(cd []float32, h, w int, o ConvOpts, xd []float32, c0, c1 int) {
 						continue
 					}
 					drow := xd[base+sy*w : base+sy*w+w]
+					if o.Stride == 1 {
+						// Only ox in [lo, hi) lands inside the row: add
+						// that run without a per-element bounds test.
+						dx := kx - o.Padding
+						lo, hi := max(0, -dx), min(ow, w-dx)
+						if hi > lo {
+							dd, ss := drow[lo+dx:hi+dx], src[i+lo:i+hi]
+							for e := range dd {
+								dd[e] += ss[e]
+							}
+						}
+						i += ow
+						continue
+					}
 					for ox := 0; ox < ow; ox++ {
 						sx := ox*o.Stride + kx - o.Padding
 						if sx >= 0 && sx < w {
@@ -184,19 +208,17 @@ func Conv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor
 	out := ws.Tensor(n, oc, oh, ow)
 	sc := ws.ProfileScope()
 	if convFusedEligible(oc, oh*ow, kk) {
-		// Fused path: B panels are packed straight from the image inside
-		// the packed GEMM (bSource.packIm2col), so the lowered column
-		// matrix is never materialized — one full write+read of
-		// kk·oh·ow floats per item is skipped, and the workspace never
-		// even allocates that size class.
-		if n == 1 || parallel.Workers() == 1 {
-			conv2dInferItemsFused(sc, x.data, wgt.data, out.data, c, h, w, oc, kk, o, 0, n)
-		} else {
-			parallel.For(n, 1, func(n0, n1 int) {
-				conv2dInferItemsFused(sc, x.data, wgt.data, out.data, c, h, w, oc, kk, o, n0, n1)
-			})
+		// Fused path: one packed GEMM for the whole batch, m = OC and
+		// n = N·OH·OW with the items' columns side by side. B panels are
+		// packed straight from the images (bSource.packIm2col), so the
+		// lowered column matrix is never materialized; A is packed once,
+		// not once per item; and each tile lands in its item's channel
+		// planes with the epilogue already applied (cOut). Every element
+		// is the same k-chain and tail as a per-item GEMM would compute.
+		if n > 0 {
+			dst := cOut{data: out.data, cols: oh * ow, item: oc * oh * ow, ep: ep}
+			gemmPackedScoped(gemmActive.Load(), sc, false, oc, n*oh*ow, kk, 1, wgt.data, im2colB(x.data, n, c, h, w, o), dst)
 		}
-		epilogueSweep(out, ep)
 		return out
 	}
 	// One cols buffer for the whole batch, sliced per item: workspace
@@ -209,6 +231,7 @@ func Conv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor
 			conv2dInferItems(sc, x.data, wgt.data, colsAll, out.data, c, h, w, oc, kk, o, n0, n1)
 		})
 	}
+	ws.Release(colsAll)
 	epilogueSweep(out, ep)
 	return out
 }
@@ -229,26 +252,17 @@ func SetConvFusedIm2col(on bool) (prev bool) {
 }
 
 // convFusedEligible mirrors Gemm's routing decision exactly: a conv
-// whose GEMM routes to the packed sweep packs B straight from the image
-// (never materializing columns), one that routes to the row kernel
-// materializes — the row kernel walks op(B) by rows and needs the
+// whose per-item GEMM routes to the packed sweep packs B straight from
+// the images (never materializing columns), one that routes to the row
+// kernel materializes — the row kernel walks op(B) by rows and needs the
 // lowered matrix. Sharing gemmUsesPacked keeps fused and materialized
 // dispatch bit-identical per shape and extends fusion to the small
 // refinement-stage convs the old 2^17 flop cliff kept on the
-// materialized scalar path.
+// materialized scalar path. The test is per item, so batching N items
+// into one GEMM (which only widens n) never changes which path a shape
+// takes.
 func convFusedEligible(m, n, k int) bool {
 	return convFusedEnabled.Load() && gemmUsesPacked(m, n, k)
-}
-
-// conv2dInferItemsFused multiplies batch items [n0, n1) with B panels
-// packed directly from each image.
-func conv2dInferItemsFused(sc *ProfileScope, xd, wd, od []float32, c, h, w, oc, kk int, o ConvOpts, n0, n1 int) {
-	oh, ow := o.OutDim(h), o.OutDim(w)
-	for i := n0; i < n1; i++ {
-		bs := im2colB(xd[i*c*h*w:(i+1)*c*h*w], c, h, w, o)
-		dst := od[i*oc*oh*ow : (i+1)*oc*oh*ow]
-		gemmPackedScoped(gemmActive.Load(), sc, false, oc, oh*ow, kk, 1, wd, bs, 0, dst)
-	}
 }
 
 // conv2dInferItems lowers and multiplies batch items [n0, n1).
@@ -287,6 +301,9 @@ func Deconv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tens
 			deconv2dInferItems(sc, x.data, wgt.data, colsAll, out.data, c, h, w, oc, oh, ow, kk, o, n0, n1)
 		})
 	}
+	// The columns are dead once scattered: hand them back so the next
+	// layer of the pass (the decoder's following deconv) reuses them.
+	ws.Release(colsAll)
 	epilogueSweep(out, ep)
 	return out
 }

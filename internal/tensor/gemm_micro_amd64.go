@@ -73,6 +73,72 @@ func gemmMicroRun(kind microKind, mr, nr, kc int, pa, pb []float32, acc *[gemmMa
 	}
 }
 
+// Flags for gemmMicroAVX512Store: how the tile combines with C, and
+// which epilogue steps run after the combine.
+const (
+	tileScale = 1 << iota // C = beta·C + acc (first k-block, beta ∉ {0, 1})
+	tileAccum             // C = C + acc (later k-blocks, or beta = 1)
+	tileBias              // v += bias[row]
+	tileAct               // leaky ReLU: v < 0 → v·slope
+)
+
+// zeroBias is the bias row of an activation-only epilogue: adding it is
+// the +0 the Go epilogue adds for a nil bias.
+var zeroBias [gemmMaxMR]float32
+
+// gemmMicroStore finishes a full MR×NR tile in C inside the micro-kernel
+// when the kernel has a fused store — today the avx512 kernel — and
+// reports whether it did. The vector code performs storeTile's
+// per-element operations in the same order: the combine with C (copy,
+// beta·C + acc, or C + acc, with C as the first operand of each add)
+// and, on the last k-block, the epilogue's bias add and leaky ReLU. A
+// tile whose columns cross one item boundary of out is written through
+// two masked segments; one that spans three or more items, every
+// partial tile and every other kernel return false, and the caller
+// stores the tile in Go.
+func gemmMicroStore(kind microKind, kc int, pa, pb []float32, out cOut, i0, j0 int, first, last bool) bool {
+	if kind != microAVX512x8x32 || kc <= 0 {
+		return false
+	}
+	const mr, nr = 8, 32
+	cols := out.cols
+	item, p := j0/cols, j0%cols
+	split := cols - p // tile columns that land in the first item
+	base0 := item*out.item + i0*cols + p
+	base1 := base0
+	if split >= nr {
+		split = nr
+	} else {
+		if nr-split > cols {
+			return false
+		}
+		base1 = (item+1)*out.item + i0*cols
+		_ = out.data[base1+(mr-1)*cols+nr-split-1]
+	}
+	_ = out.data[base0+(mr-1)*cols+split-1]
+	_ = pa[kc*mr-1]
+	_ = pb[kc*nr-1]
+	flags := tileAccum
+	if first && out.beta == 0 {
+		flags = 0
+	} else if first && out.beta != 1 {
+		flags = tileScale
+	}
+	bias := &zeroBias[0]
+	if last {
+		if out.ep.Bias != nil {
+			bias = &out.ep.Bias.data[i0:][:mr][0]
+			flags |= tileBias
+		}
+		if out.ep.Act {
+			flags |= tileBias | tileAct
+		}
+	}
+	gemmMicroAVX512Store(kc, &pa[0], &pb[0], &out.data[base0], &out.data[base1], cols*4, split, flags,
+		out.beta, out.ep.Slope, bias)
+	return true
+}
+
 // Assembly micro-kernels (gemm_micro_amd64.s). Each overwrites the
 // leading mr×nr floats of acc; MULPS/ADDPS for SSE (muladd family),
 // VFMADD231PS for AVX2/AVX-512 (fma family).
@@ -85,3 +151,12 @@ func gemmMicroAVX2(kc int, pa, pb *float32, acc *[gemmMaxTile]float32)
 
 //go:noescape
 func gemmMicroAVX512(kc int, pa, pb *float32, acc *[gemmMaxTile]float32)
+
+// gemmMicroAVX512Store is gemmMicroAVX512 with the tile finished in C
+// instead of written to an accumulator (see gemmMicroStore): tile
+// columns [0, split) go to the rows at c0, columns [split, 32) to the
+// rows at c1 (which holds column split), each row ldc bytes below the
+// last.
+//
+//go:noescape
+func gemmMicroAVX512Store(kc int, pa, pb, c0, c1 *float32, ldc, split, flags int, beta, slope float32, bias *float32)

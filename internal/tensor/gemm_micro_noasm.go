@@ -37,3 +37,9 @@ func gemmMicroRun(kind microKind, mr, nr, kc int, pa, pb []float32, acc *[gemmMa
 		panic("tensor: unknown micro-kernel kind")
 	}
 }
+
+// gemmMicroStore reports false: no kernel here has a fused tile store,
+// so every tile is finished by storeTile.
+func gemmMicroStore(kind microKind, kc int, pa, pb []float32, out cOut, i0, j0 int, first, last bool) bool {
+	return false
+}

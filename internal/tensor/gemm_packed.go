@@ -20,12 +20,18 @@ import (
 //     its current block into a private per-slot buffer (no locking,
 //     parallel.ForIndexed provides the slot id).
 //   - For each (k-block, column block) the micro-kernel accumulates an
-//     MR×NR register tile over the packed panels and adds it into C.
+//     MR×NR register tile over the packed panels and the tile is
+//     finished in C at once: added in (beta-scaled on the first
+//     k-block), and on the last k-block run through the caller's
+//     Epilogue. The avx512 kernel does this in vector code on full
+//     tiles (gemmMicroStore); every other tile goes through storeTile.
 //
 // B panels are produced by a bSource, which is either a dense matrix
-// (plain Gemm) or a virtual im2col lowering of an image (the fused
-// inference-conv path, conv_infer.go) — the panel values are identical
-// either way, so fusing changes memory traffic, never results.
+// (plain Gemm) or a virtual im2col lowering of a batch of images (the
+// fused inference-conv path, conv_infer.go) — the panel values are
+// identical either way, so fusing changes memory traffic, never
+// results. C is addressed through a cOut, which lays the columns of a
+// batched conv out item by item straight into its [N,OC,OH,OW] output.
 //
 // Determinism: the block geometry is fixed per kernel and the k-blocks
 // of one output element are always accumulated in ascending order by the
@@ -100,29 +106,56 @@ func sizeClass(n int) int {
 type bSource struct {
 	im2col bool
 	trans  bool      // dense only: B stored n×k instead of k×n
-	data   []float32 // dense matrix, or [c,h,w] image planes for im2col
+	data   []float32 // dense matrix, or [items,c,h,w] images for im2col
 	k, n   int       // op(B) dimensions
-	// im2col fields: op(B)[row, j] = image[ch, oy·stride+ky-pad,
-	// ox·stride+kx-pad] with row = (ch·K+ky)·K+kx and j = oy·ow+ox,
-	// zero outside the image — exactly the matrix im2colInto
-	// materializes, produced panel-by-panel on the fly instead.
-	c, h, w, ow int
-	o           ConvOpts
+	// im2col fields: op(B)[row, j] = image_i[ch, oy·stride+ky-pad,
+	// ox·stride+kx-pad] with row = (ch·K+ky)·K+kx and
+	// j = i·oh·ow + oy·ow + ox, zero outside the image — for each item
+	// i, exactly the matrix im2colInto materializes, the items' columns
+	// side by side, produced panel-by-panel on the fly instead.
+	h, w, oh, ow int
+	plane        int // floats per item image (c·h·w)
+	o            ConvOpts
 }
 
 func denseB(trans bool, k, n int, b []float32) bSource {
 	return bSource{trans: trans, data: b, k: k, n: n}
 }
 
-func im2colB(x []float32, c, h, w int, o ConvOpts) bSource {
+// im2colB is the virtual im2col lowering of items [c,h,w] images
+// stored back to back in x.
+func im2colB(x []float32, items, c, h, w int, o ConvOpts) bSource {
+	oh, ow := o.OutDim(h), o.OutDim(w)
 	return bSource{
 		im2col: true,
 		data:   x,
 		k:      c * o.Kernel * o.Kernel,
-		n:      o.OutDim(h) * o.OutDim(w),
-		c:      c, h: h, w: w, ow: o.OutDim(w),
-		o: o,
+		n:      items * oh * ow,
+		h:      h, w: w, oh: oh, ow: ow,
+		plane: c * h * w,
+		o:     o,
 	}
+}
+
+// cOut is the destination of a packed sweep and how each tile is
+// finished there. Element (r, j) of the m×n product lives at
+// data[(j/cols)·item + r·cols + j%cols]: a plain row-major C is one
+// item of n columns, and a batched conv output [N,OC,OH,OW] is N items
+// of OH·OW columns, item = OC·OH·OW floats apart — so the batched GEMM
+// writes each item's channel planes in place, with no scratch copy.
+// Passed by value for the same escape-analysis reason as bSource.
+type cOut struct {
+	data []float32
+	cols int      // columns per item, which is also the row stride
+	item int      // floats from one item's block to the next
+	beta float32  // C is beta-scaled before the first k-block's add
+	ep   Epilogue // applied to each element after the last k-block's add
+}
+
+// plainOut addresses a row-major m×n matrix with no epilogue — the
+// Gemm contract.
+func plainOut(c []float32, n int, beta float32) cOut {
+	return cOut{data: c, cols: n, beta: beta}
 }
 
 // pack lays the (pc..pc+kc, jc..jc+nc) block of op(B) out as
@@ -172,95 +205,74 @@ func (bs bSource) pack(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 	}
 }
 
-// packIm2col packs B panels straight from the image, skipping the
+// packIm2col packs B panels straight from the images, skipping the
 // materialized column matrix entirely: each element is computed from the
-// (channel, ky, kx) row decomposition and the (oy, ox) output pixel the
-// column index names. Values — including the zero padding of
+// (channel, ky, kx) row decomposition and the (item, oy, ox) output
+// pixel the column index names. Values — including the zero padding of
 // out-of-image taps and of columns beyond the block — are identical to
-// running packB over im2colInto's output, which is what keeps the fused
-// and materialized conv paths bit-identical.
+// running packB over im2colInto's output, item by item, which is what
+// keeps the fused and materialized conv paths bit-identical.
+//
+// A stride-1 panel whose columns all sit in one output row — every
+// panel of a conv whose output width is a multiple of NR, the trunk at
+// the paper's 256 px — packs each k-row as one clipped run of an image
+// row (packRowPanel). Any other panel (rows or items shorter than NR,
+// as on the refinement's 7×7 and 4×4 RoI grids, and strided convs)
+// gathers element by element through a per-panel plan, so no k-row
+// pays a per-segment setup.
 func (bs bSource) packIm2col(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 	nr, kcStride := kr.nr, kr.kc
-	o := bs.o
-	kern, stride := o.Kernel, o.Stride
-	h, w, ow := bs.h, bs.w, bs.ow
+	kern, stride, pad := bs.o.Kernel, bs.o.Stride, bs.o.Padding
+	h, w, oh, ow := bs.h, bs.w, bs.oh, bs.ow
 	x := bs.data
+	// The gather plan: for tile column s, the image offset of its
+	// receptive field's top-left tap in channel 0 (off; it may lie in
+	// the padding) and that tap's row and column (ty, tx).
+	var off, ty, tx [gemmMaxNR]int
 	nPanels := (nc + nr - 1) / nr
 	for np := 0; np < nPanels; np++ {
-		dst := pb[np*kcStride*nr:]
+		dst := pb[np*kcStride*nr:][:kc*nr]
 		j0 := jc + np*nr
-		cols := jc + nc - j0
-		if cols > nr {
-			cols = nr
-		}
-		// Decompose the panel's starting row and column once, then walk
-		// both incrementally — no div/mod in the element loops.
+		cols := min(nr, jc+nc-j0)
+		// Decompose the panel's first row and column once; the k-rows
+		// then walk (ch, ky, kx) incrementally.
 		ch := pc / (kern * kern)
 		rem := pc - ch*kern*kern
 		ky := rem / kern
 		kx := rem - ky*kern
-		oy0 := j0 / ow
-		ox0 := j0 - oy0*ow
+		item := j0 / (oh * ow)
+		pix := j0 - item*oh*ow
+		oy := pix / ow
+		ox := pix - oy*ow
+		if stride == 1 && cols == nr && ox+nr <= ow {
+			bs.packRowPanel(dst, nr, item*bs.plane, ch, ky, kx, oy-pad, ox-pad)
+			continue
+		}
+		for s := 0; s < cols; s++ {
+			ty[s], tx[s] = oy*stride-pad, ox*stride-pad
+			off[s] = item*bs.plane + ty[s]*w + tx[s]
+			if ox++; ox == ow {
+				ox = 0
+				if oy++; oy == oh {
+					oy = 0
+					item++
+				}
+			}
+		}
 		for p := 0; p < kc; p++ {
 			d := dst[p*nr : p*nr+nr]
-			base := ch * h * w
-			dy := ky - o.Padding
-			dx := kx - o.Padding
-			oy, ox := oy0, ox0
-			// Walk the panel row in output-row segments: within one
-			// segment sy is fixed, so padding resolves to zero-fills and
-			// — at stride 1, the dominant conv geometry — the interior is
-			// one contiguous copy from the image row, the same memmove
-			// fast path the dense packer and im2colChans enjoy.
-			for s := 0; s < cols; {
-				seg := ow - ox
-				if seg > cols-s {
-					seg = cols - s
+			tap := ch*h*w + ky*w + kx
+			for s := 0; s < cols; s++ {
+				if uint(ty[s]+ky) < uint(h) && uint(tx[s]+kx) < uint(w) {
+					d[s] = x[off[s]+tap]
+				} else {
+					d[s] = 0
 				}
-				sy := oy*stride + dy
-				switch {
-				case sy < 0 || sy >= h:
-					for e := 0; e < seg; e++ {
-						d[s+e] = 0
-					}
-				case stride == 1:
-					srow := x[base+sy*w : base+sy*w+w]
-					sx := ox + dx
-					e := 0
-					for ; e < seg && sx < 0; e++ {
-						d[s+e] = 0
-						sx++
-					}
-					if run := min(seg-e, w-sx); run > 0 {
-						copy(d[s+e:s+e+run], srow[sx:sx+run])
-						e += run
-					}
-					for ; e < seg; e++ {
-						d[s+e] = 0
-					}
-				default:
-					srow := x[base+sy*w : base+sy*w+w]
-					for e := 0; e < seg; e++ {
-						sx := (ox+e)*stride + dx
-						if sx >= 0 && sx < w {
-							d[s+e] = srow[sx]
-						} else {
-							d[s+e] = 0
-						}
-					}
-				}
-				s += seg
-				ox = 0
-				oy++
 			}
-			for s := cols; s < nr; s++ {
-				d[s] = 0
-			}
-			kx++
-			if kx == kern {
+			clear(d[cols:])
+			if kx++; kx == kern {
 				kx = 0
-				ky++
-				if ky == kern {
+				if ky++; ky == kern {
 					ky = 0
 					ch++
 				}
@@ -269,19 +281,56 @@ func (bs bSource) packIm2col(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 	}
 }
 
+// packRowPanel packs the kc k-rows of a stride-1 panel whose nr columns
+// are consecutive pixels of one output row: k-row (ch, ky, kx) is image
+// row ty+ky of channel ch from column tx+kx on, clipped to the image
+// and zero-padded around — one contiguous copy for an interior tap.
+// base is the item's image offset; (ty, tx) the first column's
+// top-left tap, in the padding when negative.
+func (bs bSource) packRowPanel(dst []float32, nr, base, ch, ky, kx, ty, tx int) {
+	kern, h, w := bs.o.Kernel, bs.h, bs.w
+	x := bs.data
+	for p := 0; p*nr < len(dst); p++ {
+		d := dst[p*nr : p*nr+nr]
+		sy, sx := ty+ky, tx+kx
+		switch {
+		case sy < 0 || sy >= h:
+			clear(d)
+		case sx >= 0 && sx+nr <= w:
+			row := base + (ch*h+sy)*w + sx
+			copy(d, x[row:row+nr])
+		default:
+			lo, hi := max(0, -sx), max(0, min(nr, w-sx))
+			lo = min(lo, hi)
+			row := base + (ch*h+sy)*w + sx
+			clear(d[:lo])
+			copy(d[lo:hi], x[row+lo:row+hi])
+			clear(d[hi:])
+		}
+		if kx++; kx == kern {
+			kx = 0
+			if ky++; ky == kern {
+				ky = 0
+				ch++
+			}
+		}
+	}
+}
+
 func gemmPacked(sc *ProfileScope, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	gemmPackedScoped(gemmActive.Load(), sc, transA, m, n, k, alpha, a, denseB(transB, k, n, b), beta, c)
+	gemmPackedScoped(gemmActive.Load(), sc, transA, m, n, k, alpha, a, denseB(transB, k, n, b), plainOut(c, n, beta))
 }
 
 // gemmPackedWith runs the packed sweep with an explicit kernel and B
-// source; the parity suites use it to pin asm kernels against their
-// portable reference twins on identical geometry.
+// source into a plain row-major C; the parity suites use it to pin asm
+// kernels against their portable reference twins on identical geometry.
 func gemmPackedWith(kr *gemmKernel, transA bool, m, n, k int, alpha float32, a []float32, bs bSource, beta float32, c []float32) {
-	gemmPackedScoped(kr, nil, transA, m, n, k, alpha, a, bs, beta, c)
+	gemmPackedScoped(kr, nil, transA, m, n, k, alpha, a, bs, plainOut(c, n, beta))
 }
 
-// gemmPackedScoped is gemmPackedWith with a profile-attribution scope.
-func gemmPackedScoped(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int, alpha float32, a []float32, bs bSource, beta float32, c []float32) {
+// gemmPackedScoped runs the packed sweep into out, attributing its time
+// to sc.
+func gemmPackedScoped(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int, alpha float32, a []float32, bs bSource, out cOut) {
 	on, t0 := profStart()
 	mPanels := (m + kr.mr - 1) / kr.mr
 	kBlocks := (k + kr.kc - 1) / kr.kc
@@ -301,11 +350,11 @@ func gemmPackedScoped(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int
 		// creating a closure (which Go heap-allocates unconditionally
 		// because it may flow to a goroutine) — this keeps single-worker
 		// inference allocation-free.
-		gemmPackedBlocks(kr, bs, m, n, k, beta, c, pa, pbAll, kBlocks, mPanels, 0, nBlocks)
+		gemmPackedBlocks(kr, bs, m, n, k, out, pa, pbAll, kBlocks, mPanels, 0, nBlocks)
 	} else {
 		parallel.ForIndexed(nBlocks, 1, func(slot, b0, b1 int) {
 			pb := pbAll[slot*pbStride : (slot+1)*pbStride]
-			gemmPackedBlocks(kr, bs, m, n, k, beta, c, pa, pb, kBlocks, mPanels, b0, b1)
+			gemmPackedBlocks(kr, bs, m, n, k, out, pa, pb, kBlocks, mPanels, b0, b1)
 		})
 	}
 
@@ -316,7 +365,7 @@ func gemmPackedScoped(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int
 
 // gemmPackedBlocks sweeps column blocks [b0, b1) using the private pack
 // buffer pb for B panels.
-func gemmPackedBlocks(kr *gemmKernel, bs bSource, m, n, k int, beta float32, c, pa, pb []float32, kBlocks, mPanels, b0, b1 int) {
+func gemmPackedBlocks(kr *gemmKernel, bs bSource, m, n, k int, out cOut, pa, pb []float32, kBlocks, mPanels, b0, b1 int) {
 	for blk := b0; blk < b1; blk++ {
 		jc := blk * kr.nc
 		nc := n - jc
@@ -330,7 +379,7 @@ func gemmPackedBlocks(kr *gemmKernel, bs bSource, m, n, k int, beta float32, c, 
 				kc = kr.kc
 			}
 			bs.pack(kr, pb, jc, nc, pc, kc)
-			gemmPackedBlockTiles(kr, m, n, kc, beta, c, pa, pb, kb, mPanels, jc, nc)
+			gemmPackedBlockTiles(kr, m, kc, out, pa, pb, kb, kBlocks, mPanels, jc, nc)
 		}
 	}
 }
@@ -338,11 +387,15 @@ func gemmPackedBlocks(kr *gemmKernel, bs bSource, m, n, k int, beta float32, c, 
 // gemmPackedBlockTiles sweeps the micro-kernel over one (column block,
 // k-block) pair whose B panels are already packed in pb — shared by the
 // per-call packers above and the prepacked-B driver (gemm_prepack.go),
-// so both consume panel data through identical tile arithmetic.
-func gemmPackedBlockTiles(kr *gemmKernel, m, n, kc int, beta float32, c, pa, pb []float32, kb, mPanels, jc, nc int) {
+// so both consume panel data through identical tile arithmetic. Each
+// tile is finished in C as soon as the kernel produces it: the avx512
+// kernel stores full tiles itself, everything else goes through
+// storeTile, with the same per-element operations either way.
+func gemmPackedBlockTiles(kr *gemmKernel, m, kc int, out cOut, pa, pb []float32, kb, kBlocks, mPanels, jc, nc int) {
 	mr, nr := kr.mr, kr.nr
 	nPanels := (nc + nr - 1) / nr
-	first := kb == 0
+	first, last := kb == 0, kb == kBlocks-1
+	var acc [gemmMaxTile]float32
 	for mp := 0; mp < mPanels; mp++ {
 		paPanel := pa[(kb*mPanels+mp)*kr.kc*mr:]
 		i0 := mp * mr
@@ -351,14 +404,17 @@ func gemmPackedBlockTiles(kr *gemmKernel, m, n, kc int, beta float32, c, pa, pb 
 			mi = mr
 		}
 		for np := 0; np < nPanels; np++ {
+			pbPanel := pb[np*kr.kc*nr:]
 			j0 := jc + np*nr
 			nj := jc + nc - j0
 			if nj > nr {
 				nj = nr
 			}
-			var acc [gemmMaxTile]float32
-			gemmMicroRun(kr.kind, mr, nr, kc, paPanel, pb[np*kr.kc*nr:], &acc)
-			storeTile(c, n, i0, j0, mi, nj, nr, &acc, first, beta)
+			if mi == mr && nj == nr && gemmMicroStore(kr.kind, kc, paPanel, pbPanel, out, i0, j0, first, last) {
+				continue
+			}
+			gemmMicroRun(kr.kind, mr, nr, kc, paPanel, pbPanel, &acc)
+			storeTile(out, i0, j0, mi, nj, nr, &acc, first, last)
 		}
 	}
 }
@@ -415,28 +471,46 @@ func packA(kr *gemmKernel, transA bool, m, k int, alpha float32, a []float32, pa
 	}
 }
 
-// storeTile adds the mi×nj valid region of an MR×NR accumulator tile
-// (row stride nr) into C at (i0, j0). On the first k-block the
+// storeTile finishes the mi×nj valid region of an MR×NR accumulator
+// tile (row stride nr) in C at (i0, j0): on the first k-block the
 // destination is beta-scaled first, matching the beta-then-accumulate
-// semantics of the unblocked kernel.
-func storeTile(c []float32, n, i0, j0, mi, nj, nr int, acc *[gemmMaxTile]float32, first bool, beta float32) {
-	for r := 0; r < mi; r++ {
-		crow := c[(i0+r)*n+j0 : (i0+r)*n+j0+nj]
-		arow := acc[r*nr : r*nr+nj]
-		switch {
-		case first && beta == 0:
-			for s := range crow {
-				crow[s] = arow[s]
+// semantics of the unblocked kernel, and on the last k-block each row
+// runs through the epilogue of its output channel i0+r. The tile's
+// columns are written in runs that each stay inside one item of out.
+// gemmMicroStore's vector code performs exactly these operations, in
+// this order, on full avx512 tiles.
+func storeTile(out cOut, i0, j0, mi, nj, nr int, acc *[gemmMaxTile]float32, first, last bool) {
+	cols := out.cols
+	item, p := j0/cols, j0%cols
+	for s := 0; s < nj; {
+		run := min(nj-s, cols-p)
+		base := item*out.item + p
+		for r := 0; r < mi; r++ {
+			off := base + (i0+r)*cols
+			crow := out.data[off : off+run]
+			arow := acc[r*nr+s : r*nr+s+run]
+			switch {
+			case first && out.beta == 0:
+				copy(crow, arow)
+			case first && out.beta != 1:
+				beta := out.beta
+				for e := range crow {
+					// The conversion rounds the product on its own, so
+					// no compiler may fuse it with the add into an FMA.
+					crow[e] = float32(beta*crow[e]) + arow[e]
+				}
+			default:
+				for e := range crow {
+					crow[e] += arow[e]
+				}
 			}
-		case first && beta != 1:
-			for s := range crow {
-				crow[s] = beta*crow[s] + arow[s]
-			}
-		default:
-			for s := range crow {
-				crow[s] += arow[s]
+			if last {
+				out.ep.apply(crow, i0+r)
 			}
 		}
+		s += run
+		item++
+		p = 0
 	}
 }
 

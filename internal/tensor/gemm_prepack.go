@@ -144,10 +144,10 @@ func gemmPackedPre(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int, a
 	if parallel.Slots(nBlocks, 1) == 1 {
 		// Serial fast path, same closure-avoidance rationale as
 		// gemmPackedWith.
-		gemmPackedBlocksPre(kr, pre, m, n, k, beta, c, pa, kBlocks, mPanels, 0, nBlocks)
+		gemmPackedBlocksPre(kr, pre, m, n, k, plainOut(c, n, beta), pa, kBlocks, mPanels, 0, nBlocks)
 	} else {
 		parallel.ForIndexed(nBlocks, 1, func(_, b0, b1 int) {
-			gemmPackedBlocksPre(kr, pre, m, n, k, beta, c, pa, kBlocks, mPanels, b0, b1)
+			gemmPackedBlocksPre(kr, pre, m, n, k, plainOut(c, n, beta), pa, kBlocks, mPanels, b0, b1)
 		})
 	}
 
@@ -157,7 +157,7 @@ func gemmPackedPre(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int, a
 
 // gemmPackedBlocksPre sweeps column blocks [b0, b1) over prepacked B
 // panels laid out by packFor.
-func gemmPackedBlocksPre(kr *gemmKernel, pre []float32, m, n, k int, beta float32, c, pa []float32, kBlocks, mPanels, b0, b1 int) {
+func gemmPackedBlocksPre(kr *gemmKernel, pre []float32, m, n, k int, out cOut, pa []float32, kBlocks, mPanels, b0, b1 int) {
 	panel := kr.kc * kr.nr
 	fullPanels := kr.nc / kr.nr // nc is a multiple of nr for every kernel
 	for blk := b0; blk < b1; blk++ {
@@ -176,7 +176,7 @@ func gemmPackedBlocksPre(kr *gemmKernel, pre []float32, m, n, k int, beta float3
 			if kc > kr.kc {
 				kc = kr.kc
 			}
-			gemmPackedBlockTiles(kr, m, n, kc, beta, c, pa, pre[base+kb*nPanels*panel:], kb, mPanels, jc, nc)
+			gemmPackedBlockTiles(kr, m, kc, out, pa, pre[base+kb*nPanels*panel:], kb, kBlocks, mPanels, jc, nc)
 		}
 	}
 }

@@ -2,17 +2,21 @@ package tensor
 
 // Workspace is an arena of reusable scratch buffers keyed by power-of-two
 // size class, the allocation substrate of the zero-allocation inference
-// path. A kernel asks for scratch with Get/Tensor; nothing is returned
-// piecemeal — instead the owner calls Reset at the start of each
-// inference pass, which recycles every buffer handed out since the last
-// Reset back into the size-class free lists. Because a model's layer
-// shapes are identical from pass to pass, the second and every later
-// pass is served entirely from the free lists: steady-state inference
-// performs no heap allocation and retains exactly one pass's footprint.
+// path. A kernel asks for scratch with Get/Tensor; the owner calls Reset
+// at the start of each inference pass, which recycles every buffer
+// handed out since the last Reset back into the size-class free lists.
+// A kernel whose scratch dies before the pass ends (a conv's column
+// matrix) may hand it back early with Release, so later layers of the
+// same pass reuse it instead of growing the arena. Because a model's
+// layer shapes are identical from pass to pass, the second and every
+// later pass is served entirely from the free lists: steady-state
+// inference performs no heap allocation and retains exactly one pass's
+// footprint.
 //
 // Contracts:
 //   - Buffers and tensors obtained from a Workspace are valid only until
-//     the next Reset; Reset invalidates all of them at once.
+//     the next Reset (or, for a released buffer, until its Release);
+//     Reset invalidates all of them at once.
 //   - Get returns dirty memory. Kernels writing into workspace tensors
 //     must store every element (or use GetZeroed where they accumulate).
 //   - A Workspace is not safe for concurrent use. Every goroutine that
@@ -154,6 +158,33 @@ func (ws *Workspace) header() *Tensor {
 	ws.headers = append(ws.headers, t)
 	ws.used++
 	return t
+}
+
+// Release returns buf — a slice obtained from Get since the last Reset
+// and not yet released — to the free lists ahead of the next Reset, so
+// a later Get of its size class in the same pass reuses it. The caller
+// must not touch buf afterwards. Releasing anything else (a foreign
+// slice, or the same buffer twice) panics: it would hand one buffer to
+// two owners.
+func (ws *Workspace) Release(buf []float32) {
+	if ws == nil {
+		return
+	}
+	if cap(buf) > 0 {
+		p := &buf[:1][0]
+		// Newest first: a released buffer is nearly always one of the
+		// last few handed out.
+		for i := len(ws.live) - 1; i >= 0; i-- {
+			lb := ws.live[i]
+			if &lb.buf[0] != p {
+				continue
+			}
+			ws.live = append(ws.live[:i], ws.live[i+1:]...)
+			ws.free[lb.class] = append(ws.free[lb.class], lb.buf)
+			return
+		}
+	}
+	panic("tensor: Workspace.Release of a buffer that is not live in this workspace")
 }
 
 // Reset recycles every buffer and header handed out since the previous

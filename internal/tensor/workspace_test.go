@@ -132,3 +132,51 @@ func TestWorkspaceTrim(t *testing.T) {
 	var nil_ *Workspace
 	nil_.Trim(0)
 }
+
+// TestWorkspaceRelease pins the early-return contract: a released buffer
+// serves the next Get of its size class within the same pass, the
+// footprint does not grow for it, Reset does not hand it out twice, and
+// releasing a foreign or already-released buffer panics.
+func TestWorkspaceRelease(t *testing.T) {
+	ws := NewWorkspace()
+	keep := ws.Get(100)
+	col := ws.Get(5000)
+	ws.Release(col)
+	again := ws.Get(4500) // same size class as col
+	if &again[0] != &col[0] {
+		t.Fatal("Get after Release did not reuse the released buffer")
+	}
+	if fp, want := ws.Footprint(), cap(keep)+cap(col); fp != want {
+		t.Fatalf("footprint %d floats after release and reuse, want %d", fp, want)
+	}
+	ws.Reset()
+	a, b := ws.Get(5000), ws.Get(5000)
+	if &a[0] == &b[0] {
+		t.Fatal("Reset handed one buffer out twice")
+	}
+
+	mustPanic := func(label string, buf []float32) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: Release did not panic", label)
+			}
+		}()
+		ws.Release(buf)
+	}
+	ws.Release(a)
+	mustPanic("double release", a)
+	mustPanic("foreign buffer", make([]float32, 8))
+	var nilWS *Workspace
+	nilWS.Release(make([]float32, 8)) // nil workspace: no-op, like every method
+
+	allocs := testing.AllocsPerRun(20, func() {
+		ws.Reset()
+		c := ws.Get(5000)
+		ws.Release(c)
+		_ = ws.Get(5000)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Get/Release allocated %.0f times per run, want 0", allocs)
+	}
+}
