@@ -130,8 +130,10 @@ bench-simd:
 
 # Int8 vs fp32 kernel throughput (min-of-3), end-to-end detection under a
 # calibrated int8 trunk, steady-state allocations and the fp32-vs-int8
-# accuracy-delta gate at smoke scale; writes BENCH_quant.json. On a host
-# without AVX-512-VNNI (or AVX2) this records {"status": "skipped"}
-# naming the missing feature.
+# accuracy-delta gate on a FastProfile model (about 3 minutes); writes
+# BENCH_quant.json, then fails when the gate fails or is inconclusive
+# (fp32 recall under 50% or fewer than 100 hotspots). On a host without
+# AVX-512-VNNI (or AVX2) this records {"status": "skipped"} naming the
+# missing feature.
 bench-quant:
 	$(GO) run ./cmd/rhsd-bench -exp quant

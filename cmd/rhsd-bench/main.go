@@ -30,7 +30,8 @@
 // -exp quant measures every int8 GEMM kernel against the float32 avx512
 // baseline (packed throughput, end-to-end detection under a calibrated
 // int8 trunk, steady-state allocations) plus the fp32-vs-int8
-// accuracy-delta gate, and writes BENCH_quant.json.
+// accuracy-delta gate on a FastProfile model, writes BENCH_quant.json,
+// and exits non-zero when the gate fails or is inconclusive.
 // All reports embed host metadata (CPU count, GOMAXPROCS, arch, CPU
 // feature flags, active GEMM and int8-GEMM kernels).
 // On a host with fewer than two CPUs, -exp parallel and -exp serve

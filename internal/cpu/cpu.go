@@ -26,6 +26,10 @@ type X86Features struct {
 	FMA     bool // VFMADD* (implies AVX usable)
 	AVX2    bool
 	AVX512F bool // foundation; CPU flag + XCR0 opmask/ZMM state
+	// AVX512BW adds the byte and word forms (VMOVDQU8, KMOVQ, VPMOVWB)
+	// the int8 im2col packer uses; gated on the same ZMM OS state as
+	// AVX512F.
+	AVX512BW bool
 	// AVX512VNNI is the 512-bit VPDPBUSD dot-product extension the int8
 	// GEMM kernels use; gated on the same ZMM OS state as AVX512F.
 	AVX512VNNI bool
@@ -49,6 +53,11 @@ func (f X86Features) HasAVX2FMA() bool { return f.AVX2 && f.FMA }
 // without FMA would be a CPUID lie worth failing safe on.
 func (f X86Features) HasAVX512() bool { return f.AVX512F && f.FMA }
 
+// HasAVX512BW reports whether the 512-bit byte-masked loads of the
+// vector int8 im2col packer are safe. AVX512F is required alongside the
+// BW bit, as for HasAVX512VNNI.
+func (f X86Features) HasAVX512BW() bool { return f.AVX512BW && f.AVX512F }
+
 // HasAVX512VNNI reports whether the 512-bit VPDPBUSD int8 dot-product
 // kernel is safe. AVX512F is required alongside the VNNI bit: the kernel
 // uses EVEX moves and zeroing that belong to the foundation set.
@@ -70,6 +79,7 @@ func (f X86Features) FeatureList() []string {
 	add(f.FMA, "fma")
 	add(f.AVX2, "avx2")
 	add(f.AVX512F, "avx512f")
+	add(f.AVX512BW, "avx512bw")
 	add(f.AVX512VNNI, "avx512vnni")
 	add(f.AVXVNNI, "avxvnni")
 	sort.Strings(tags)
@@ -97,6 +107,7 @@ func goamd64Floor(f *X86Features) {
 	switch level {
 	case "v4":
 		f.AVX512F = true
+		f.AVX512BW = true
 		fallthrough
 	case "v3":
 		f.AVX = true

@@ -20,8 +20,9 @@ const (
 	// CPUID.1:EDX
 	cpuidSSE2 = 1 << 26
 	// CPUID.7.0:EBX
-	cpuidAVX2    = 1 << 5
-	cpuidAVX512F = 1 << 16
+	cpuidAVX2     = 1 << 5
+	cpuidAVX512F  = 1 << 16
+	cpuidAVX512BW = 1 << 30
 	// CPUID.7.0:ECX
 	cpuidAVX512VNNI = 1 << 11
 	// CPUID.7.1:EAX
@@ -61,6 +62,7 @@ func init() {
 		maxSub, ebx7, ecx7, _ := cpuid(7, 0)
 		X86.AVX2 = osAVX && ebx7&cpuidAVX2 != 0
 		X86.AVX512F = osAVX512 && ebx7&cpuidAVX512F != 0
+		X86.AVX512BW = osAVX512 && ebx7&cpuidAVX512BW != 0
 		X86.AVX512VNNI = osAVX512 && ecx7&cpuidAVX512VNNI != 0
 		if maxSub >= 1 {
 			eax71, _, _, _ := cpuid(7, 1)

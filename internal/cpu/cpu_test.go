@@ -29,6 +29,13 @@ func TestFeatureImplications(t *testing.T) {
 		// behind the same ZMM OS-state gate, so they must agree.
 		t.Errorf("AVX512VNNI without AVX512F: %+v", f)
 	}
+	if f.AVX512BW && !f.AVX512F {
+		// BW extends the foundation behind the same ZMM OS-state gate.
+		t.Errorf("AVX512BW without AVX512F: %+v", f)
+	}
+	if f.HasAVX512BW() != (f.AVX512BW && f.AVX512F) {
+		t.Errorf("HasAVX512BW inconsistent with flags: %+v", f)
+	}
 	if f.AVXVNNI && !f.AVX {
 		t.Errorf("AVXVNNI without AVX: %+v", f)
 	}
@@ -55,6 +62,9 @@ func TestFeatureListStable(t *testing.T) {
 	if seen["avx2"] != X86.AVX2 || seen["fma"] != X86.FMA || seen["avx512f"] != X86.AVX512F {
 		t.Fatalf("tag set %v inconsistent with flags %+v", tags, X86)
 	}
+	if seen["avx512bw"] != X86.AVX512BW {
+		t.Fatalf("avx512bw tag in %v inconsistent with flags %+v", tags, X86)
+	}
 	if seen["avx512vnni"] != X86.AVX512VNNI || seen["avxvnni"] != X86.AVXVNNI {
 		t.Fatalf("VNNI tags in %v inconsistent with flags %+v", tags, X86)
 	}
@@ -65,8 +75,17 @@ func TestFeatureListStable(t *testing.T) {
 func TestGoamd64Floor(t *testing.T) {
 	var f X86Features
 	f.AVX512F = true
+	f.AVX512BW = true
 	goamd64Floor(&f)
-	if !f.AVX512F {
+	if !f.AVX512F || !f.AVX512BW {
 		t.Fatal("goamd64Floor cleared a detected flag")
+	}
+	// Whatever level the test binary was built at, the floor only adds
+	// flags: a v4 build sets AVX512F and AVX512BW together, so after the
+	// floor the two agree whenever either came from it.
+	var g X86Features
+	goamd64Floor(&g)
+	if g.AVX512F != g.AVX512BW {
+		t.Fatalf("floor set AVX512F=%v but AVX512BW=%v", g.AVX512F, g.AVX512BW)
 	}
 }

@@ -39,6 +39,15 @@ func DefaultQuantGateBudget() QuantGateBudget {
 	return QuantGateBudget{MaxRecallDropPts: 0.5, MaxFADeltaFrac: 0.02, MaxFASlack: 1}
 }
 
+// The gate's evidence floors. Below either, the comparison cannot show
+// a loss: a model that finds nothing in fp32 has no recall to lose, and
+// a handful of hotspots cannot resolve half a point. Such a run is
+// inconclusive, which fails like an over-budget drift.
+const (
+	quantGateMinRecallFP32 = 0.5
+	quantGateMinHotspots   = 100
+)
+
 // QuantGateResult is the gate's verdict with the evidence behind it.
 type QuantGateResult struct {
 	Budget QuantGateBudget
@@ -55,7 +64,22 @@ type QuantGateResult struct {
 	// activation-range sweep.
 	CalibrationRasters int
 	Pass               bool
-	Reasons            []string // populated when Pass is false
+	// Inconclusive marks a run below the gate's evidence floors. It
+	// never passes.
+	Inconclusive bool
+	Reasons      []string // populated when Pass is false
+}
+
+// Verdict is "PASS", "FAIL" or "INCONCLUSIVE".
+func (r *QuantGateResult) Verdict() string {
+	switch {
+	case r.Inconclusive:
+		return "INCONCLUSIVE"
+	case r.Pass:
+		return "PASS"
+	default:
+		return "FAIL"
+	}
 }
 
 // QuantGateCheck scores an fp32/int8 outcome pair against the budget.
@@ -68,6 +92,13 @@ func QuantGateCheck(fp32, i8 metrics.Outcome, b QuantGateBudget) QuantGateResult
 		r.Speedup = float64(fp32.Elapsed) / float64(i8.Elapsed)
 	}
 	r.Pass = true
+	if fp32.GroundTruth < quantGateMinHotspots || fp32.Accuracy() < quantGateMinRecallFP32 {
+		r.Pass = false
+		r.Inconclusive = true
+		r.Reasons = append(r.Reasons, fmt.Sprintf(
+			"inconclusive: fp32 recall %.2f%% on %d ground-truth hotspots is under the floor (%.0f%% on %d)",
+			fp32.Accuracy()*100, fp32.GroundTruth, quantGateMinRecallFP32*100, quantGateMinHotspots))
+	}
 	if r.RecallDropPts > b.MaxRecallDropPts {
 		r.Pass = false
 		r.Reasons = append(r.Reasons, fmt.Sprintf(
@@ -198,13 +229,9 @@ func QuantGateOnModel(m *hsd.Model, data *Data, b QuantGateBudget, progress func
 
 // Render formats the gate verdict for CLI output.
 func (r *QuantGateResult) Render() string {
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL"
-	}
-	out := fmt.Sprintf("int8 accuracy gate: %s\n", verdict)
-	out += fmt.Sprintf("  recall  fp32 %.2f%%  int8 %.2f%%  drop %+.2f pts (budget %.2f)\n",
-		r.FP32.Accuracy()*100, r.Int8.Accuracy()*100, r.RecallDropPts, r.Budget.MaxRecallDropPts)
+	out := fmt.Sprintf("int8 accuracy gate: %s\n", r.Verdict())
+	out += fmt.Sprintf("  recall  fp32 %.2f%%  int8 %.2f%%  drop %+.2f pts (budget %.2f) over %d hotspots\n",
+		r.FP32.Accuracy()*100, r.Int8.Accuracy()*100, r.RecallDropPts, r.Budget.MaxRecallDropPts, r.FP32.GroundTruth)
 	out += fmt.Sprintf("  false alarms  fp32 %d  int8 %d  delta %+d (budget %.0f%% +%d)\n",
 		r.FP32.FalseAlarms, r.Int8.FalseAlarms, r.FADelta, r.Budget.MaxFADeltaFrac*100, r.Budget.MaxFASlack)
 	if r.Speedup > 0 {

@@ -87,6 +87,39 @@ func TestQuantGateCheckZeroFABaseline(t *testing.T) {
 	}
 }
 
+// TestQuantGateCheckInconclusive: a gate run that cannot show a loss —
+// an fp32 model that finds nothing, or too few hotspots to resolve the
+// budget — is inconclusive and fails, even with zero deltas.
+func TestQuantGateCheckInconclusive(t *testing.T) {
+	b := DefaultQuantGateBudget()
+	cases := []struct {
+		name string
+		fp32 metrics.Outcome
+	}{
+		{"zero recall", metrics.Outcome{GroundTruth: 174, Detected: 0, FalseAlarms: 3}},
+		{"zero hotspots", metrics.Outcome{GroundTruth: 0, Detected: 0, FalseAlarms: 0}},
+		{"recall under the floor", metrics.Outcome{GroundTruth: 174, Detected: 86}},
+		{"hotspots under the floor", metrics.Outcome{GroundTruth: 99, Detected: 99}},
+	}
+	for _, tc := range cases {
+		r := QuantGateCheck(tc.fp32, tc.fp32, b)
+		if r.Pass || !r.Inconclusive {
+			t.Errorf("%s: pass=%v inconclusive=%v, want an inconclusive failure", tc.name, r.Pass, r.Inconclusive)
+		}
+		if r.Verdict() != "INCONCLUSIVE" || !strings.Contains(r.Render(), "INCONCLUSIVE") {
+			t.Errorf("%s: verdict %q, render %q", tc.name, r.Verdict(), r.Render())
+		}
+		if len(r.Reasons) != 1 || !strings.Contains(r.Reasons[0], "inconclusive") {
+			t.Errorf("%s: reasons = %v, want one inconclusive reason", tc.name, r.Reasons)
+		}
+	}
+	// At the floors exactly, the evidence suffices.
+	edge := metrics.Outcome{GroundTruth: 100, Detected: 50}
+	if r := QuantGateCheck(edge, edge, b); !r.Pass || r.Inconclusive || r.Verdict() != "PASS" {
+		t.Fatalf("run at the floors: pass=%v inconclusive=%v reasons=%v", r.Pass, r.Inconclusive, r.Reasons)
+	}
+}
+
 // TestCalibrationRastersPrefersOracleLabels checks labeled regions come
 // first and the count cap holds.
 func TestCalibrationRastersPrefersOracleLabels(t *testing.T) {

@@ -196,9 +196,10 @@ func (q *Quantizer) walkSeq(s *Sequential, x *tensor.Tensor, ws *tensor.Workspac
 			}
 			x = q.conv(l, x, ws, quant, ep)
 		case *Deconv2D:
-			// Deconvolutions stay float32: the decoder half of the
-			// encoder-decoder is three layers on small channel counts,
-			// not worth a transposed int8 packing path.
+			// Deconvolutions stay float32 because the int8 path has
+			// no transposed lowering yet (int8 GEMM, int32 col2im,
+			// one dequantize). They are not cheap: the decoder
+			// deconvs are 2.87 GF of a 256-px PaperConfig pass.
 			if i+1 < len(s.Layers) {
 				if r, ok := s.Layers[i+1].(*ReLU); ok {
 					x = l.inferFused(x, ws, r.Slope)

@@ -26,6 +26,17 @@ func qinterleaveRows(dst []uint8, r0, r1, r2, r3 []uint8, n int) {
 	}
 }
 
+// qgemmMicroStore reports false: no kernel off amd64 finishes its own
+// tiles, so every tile goes through qstoreTile.
+func qgemmMicroStore(kind qmicroKind, kc4 int, pa []int8, pb []uint8, c []float32, n, i0, j0 int, carry []int32, first, last bool, ep qepilogue) bool {
+	return false
+}
+
+// qpackIm2colPanel reports false: every panel takes the Go packer.
+func qpackIm2colPanel(kind qmicroKind, bs qbSource, dst []uint8, j0, pc, kc int) bool {
+	return false
+}
+
 // qgemmMicroRun executes one int8 micro-kernel invocation (see the
 // amd64 variant for the contract).
 func qgemmMicroRun(kind qmicroKind, mr, nr, kc4 int, pa []int8, pb []uint8, acc *[qgemmMaxTile]int32) {

@@ -185,7 +185,8 @@ func fillBytes(b []uint8, v uint8) {
 // (stride-1 interior segments become one memmove) and the 4-deep
 // interleave happens afterwards with the SIMD transpose — the direct
 // stride-4 byte scatter this replaces dominated the whole quantized
-// GEMM.
+// GEMM. Full qvnni panels inside one output row are packed with
+// AVX-512 instead (qpackIm2colPanel); this walk is their bit reference.
 func (bs qbSource) packIm2col(kr *qgemmKernel, pb []uint8, jc, nc, pc, kc int) {
 	nr, kcStride := kr.nr, kr.kc
 	o := bs.o
@@ -195,11 +196,17 @@ func (bs qbSource) packIm2col(kr *qgemmKernel, pb []uint8, jc, nc, pc, kc int) {
 	zp := bs.zero
 	kc4 := (kc + 3) / 4
 	nPanels := (nc + nr - 1) / nr
-	tmp := qbytePool.get(kc4 * 4 * nr)
+	var tmp []uint8
 	for np := 0; np < nPanels; np++ {
 		dst := pb[np*kcStride*nr:]
 		j0 := jc + np*nr
 		cols := min(jc+nc-j0, nr)
+		if cols == nr && qpackIm2colPanel(kr.kind, bs, dst, j0, pc, kc) {
+			continue
+		}
+		if tmp == nil {
+			tmp = qbytePool.get(kc4 * 4 * nr)
+		}
 		ch := pc / (kern * kern)
 		rem := pc - ch*kern*kern
 		ky := rem / kern
@@ -271,7 +278,9 @@ func (bs qbSource) packIm2col(kr *qgemmKernel, pb []uint8, jc, nc, pc, kc int) {
 				tmp[g*4*nr:], tmp[(g*4+1)*nr:], tmp[(g*4+2)*nr:], tmp[(g*4+3)*nr:], nr)
 		}
 	}
-	qbytePool.put(tmp)
+	if tmp != nil {
+		qbytePool.put(tmp)
+	}
 }
 
 // qpackA lays a quantized m×k int8 matrix out as
@@ -384,10 +393,14 @@ func qgemmPackedScoped(kr *qgemmKernel, sc *ProfileScope, m, n, k int, pa []int8
 }
 
 // qgemmPackedBlocks sweeps column blocks [b0, b1) with private B pack
-// and carry buffers.
+// and carry buffers. Full tiles of the qvnni kernel are finished inside
+// the kernel (qgemmMicroStore); every other tile lands in the int32
+// acc, declared once per call, and is combined with its carry and
+// stored by qstoreTile.
 func qgemmPackedBlocks(kr *qgemmKernel, bs qbSource, m, n, k int, pa []int8, pb []uint8, cb []int32, ep qepilogue, c []float32, kBlocks, mPanels, b0, b1 int) {
 	mr, nr := kr.mr, kr.nr
 	npMax := kr.nc / nr
+	var acc [qgemmMaxTile]int32
 	for blk := b0; blk < b1; blk++ {
 		jc := blk * kr.nc
 		nc := min(n-jc, kr.nc)
@@ -405,13 +418,19 @@ func qgemmPackedBlocks(kr *qgemmKernel, bs qbSource, m, n, k int, pa []int8, pb 
 				for np := 0; np < nPanels; np++ {
 					j0 := jc + np*nr
 					nj := min(jc+nc-j0, nr)
-					var acc [qgemmMaxTile]int32
-					qgemmMicroRun(kr.kind, mr, nr, kc4, paPanel, pb[np*kr.kc*nr:], &acc)
+					pbPanel := pb[np*kr.kc*nr:]
+					var slot []int32
+					if !first || !last {
+						slot = cb[(mp*npMax+np)*mr*nr : (mp*npMax+np+1)*mr*nr]
+					}
+					if mi == mr && nj == nr && qgemmMicroStore(kr.kind, kc4, paPanel, pbPanel, c, n, i0, j0, slot, first, last, ep) {
+						continue
+					}
+					qgemmMicroRun(kr.kind, mr, nr, kc4, paPanel, pbPanel, &acc)
 					if first && last {
 						qstoreTile(c, n, i0, j0, mi, nj, nr, acc[:mr*nr], ep)
 						continue
 					}
-					slot := cb[(mp*npMax+np)*mr*nr : (mp*npMax+np+1)*mr*nr]
 					switch {
 					case first:
 						copy(slot, acc[:mr*nr])
@@ -433,7 +452,9 @@ func qgemmPackedBlocks(kr *qgemmKernel, bs qbSource, m, n, k int, pa []int8, pb 
 
 // qstoreTile dequantizes the mi×nj valid region of an int32 tile (row
 // stride nr) into C at (i0, j0), fusing the zero-point correction, the
-// per-channel scale, the bias and the optional leaky ReLU.
+// per-channel scale, the bias and the optional leaky ReLU. It is the bit
+// reference for the qvnni kernel's fused store (qgemmMicroStore), which
+// performs the same operations in the same order.
 func qstoreTile(c []float32, n, i0, j0, mi, nj, nr int, tile []int32, ep qepilogue) {
 	for r := 0; r < mi; r++ {
 		row := i0 + r
@@ -445,9 +466,11 @@ func qstoreTile(c []float32, n, i0, j0, mi, nj, nr int, tile []int32, ep qepilog
 		}
 		crow := c[row*n+j0 : row*n+j0+nj]
 		arow := tile[r*nr : r*nr+nj]
+		// The outer conversion rounds the product on its own, so no
+		// compiler may fuse it with the bias add into an FMA.
 		if ep.act {
 			for s, v := range arow {
-				f := ds*float32(v-co) + b
+				f := float32(ds*float32(v-co)) + b
 				if f < 0 {
 					f *= ep.slope
 				}
@@ -455,7 +478,7 @@ func qstoreTile(c []float32, n, i0, j0, mi, nj, nr int, tile []int32, ep qepilog
 			}
 		} else {
 			for s, v := range arow {
-				crow[s] = ds*float32(v-co) + b
+				crow[s] = float32(ds*float32(v-co)) + b
 			}
 		}
 	}
