@@ -4,44 +4,19 @@
 //	rhsd-bench -exp table1              # detector comparison (Table 1)
 //	rhsd-bench -exp figure9 -out out/   # qualitative panels (Figure 9)
 //	rhsd-bench -exp figure10            # ablation study (Figure 10)
-//	rhsd-bench -exp parallel            # serial vs parallel compute engine
-//	rhsd-bench -exp alloc               # heap-path vs zero-alloc inference
-//	rhsd-bench -exp scan                # per-tile vs megatile full-chip scan
-//	rhsd-bench -exp obs                 # telemetry-on vs telemetry-off overhead
-//	rhsd-bench -exp serve               # cached serving daemon under load
-//	rhsd-bench -exp simd                # per-GEMM-kernel throughput comparison
-//	rhsd-bench -exp quant               # int8 vs fp32 kernels + accuracy gate
+//	rhsd-bench -exp quant               # int8 accuracy-delta gate
 //	rhsd-bench -exp all -out out/
 //
-// The -workers flag (default: RHSD_WORKERS or NumCPU) sizes the worker
-// pool used by the parallel compute engine; -exp parallel writes the
-// serial-vs-parallel wall-clock comparison to BENCH_parallel.json,
-// -exp alloc writes the allocation comparison (unblocked vs packed GEMM,
-// training-path vs workspace-backed inference) to BENCH_alloc.json, and
-// -exp scan writes the per-tile vs megatile scan comparison to
-// BENCH_scan.json, -exp obs writes the telemetry overhead guard
-// (instrumented vs uninstrumented Detect, budget <1%) to BENCH_obs.json,
-// and -exp serve drives an in-process detection daemon with the megatile
-// result cache enabled (90% repeat ratio, cold/warm latency percentiles,
-// one incremental ?since= rescan) and writes BENCH_serve.json.
-// -exp simd measures every GEMM micro-kernel available on the host
-// (packed throughput at the dominant backbone shape, end-to-end Detect
-// delta, fused vs materialized im2col) and writes BENCH_simd.json.
-// -exp quant measures every int8 GEMM kernel against the float32 avx512
-// baseline (packed throughput, end-to-end detection under a calibrated
-// int8 trunk, steady-state allocations) plus the fp32-vs-int8
-// accuracy-delta gate on a FastProfile model, writes BENCH_quant.json,
-// and exits non-zero when the gate fails or is inconclusive.
-// All reports embed host metadata (CPU count, GOMAXPROCS, arch, CPU
-// feature flags, active GEMM and int8-GEMM kernels).
-// On a host with fewer than two CPUs, -exp parallel and -exp serve
-// refuse to emit speedup numbers and record {"status": "skipped"} with
-// the reason instead; -exp simd does the same on hosts without AVX2,
-// and -exp quant on hosts without AVX-512-VNNI.
+// -exp quant trains one model, evaluates it in fp32 and int8 and prints
+// the gate's verdict line; the command exits 1 unless the verdict is
+// PASS. Performance is measured by the repository benchmark under
+// perfbench/, not here.
 //
-// The -cpuprofile and -memprofile flags write pprof profiles covering
-// whatever experiments ran, for offline hot-path diagnosis; -trace
-// writes a runtime/trace with per-stage regions for `go tool trace`.
+// The -workers flag (default: RHSD_WORKERS or NumCPU) sizes the worker
+// pool used by the parallel compute engine. The -cpuprofile and
+// -memprofile flags write pprof profiles covering whatever experiments
+// ran, for offline hot-path diagnosis; -trace writes a runtime/trace
+// with per-stage regions for `go tool trace`.
 //
 // All experiments run the FastProfile: a proportionally shrunk
 // configuration that executes in minutes on one CPU core. Absolute
@@ -57,6 +32,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"strings"
 	"time"
 
 	"rhsd/internal/dataset"
@@ -66,20 +42,13 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "table1", "experiment to run: table1, table1-ext, figure9, figure10, roc, ablation-ext, parallel, alloc, scan, obs, serve, simd, quant, all")
+	expFlag := flag.String("exp", "table1", "experiment to run: table1, table1-ext, figure9, figure10, roc, ablation-ext, quant, all")
 	outFlag := flag.String("out", "out", "output directory for figure panels and CSVs")
 	trainSteps := flag.Int("steps", 0, "override R-HSD training steps (0 = profile default)")
 	nTrain := flag.Int("train-regions", 0, "override training regions per case (0 = profile default)")
 	nTest := flag.Int("test-regions", 0, "override test regions per case (0 = profile default)")
 	seed := flag.Int64("seed", 0, "override model seed (0 = profile default)")
 	workersFlag := flag.Int("workers", 0, "compute worker pool size (0 = RHSD_WORKERS or NumCPU)")
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json", "output path for the -exp parallel report")
-	allocOut := flag.String("alloc-out", "BENCH_alloc.json", "output path for the -exp alloc report")
-	scanOut := flag.String("scan-out", "BENCH_scan.json", "output path for the -exp scan report")
-	obsOut := flag.String("obs-out", "BENCH_obs.json", "output path for the -exp obs report")
-	serveOut := flag.String("serve-out", "BENCH_serve.json", "output path for the -exp serve report")
-	simdOut := flag.String("simd-out", "BENCH_simd.json", "output path for the -exp simd report")
-	quantOut := flag.String("quant-out", "BENCH_quant.json", "output path for the -exp quant report")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a runtime/trace with per-stage regions to this file")
@@ -153,70 +122,11 @@ func main() {
 	runROC := *expFlag == "roc" || *expFlag == "all"
 	runExtAbl := *expFlag == "ablation-ext" || *expFlag == "all"
 	runExtTable := *expFlag == "table1-ext" || *expFlag == "all"
-	runPar := *expFlag == "parallel" || *expFlag == "all"
-	runAlloc := *expFlag == "alloc" || *expFlag == "all"
-	runScan := *expFlag == "scan" || *expFlag == "all"
-	runObs := *expFlag == "obs" || *expFlag == "all"
-	runServe := *expFlag == "serve" || *expFlag == "all"
-	runSimd := *expFlag == "simd" || *expFlag == "all"
 	runQuant := *expFlag == "quant" || *expFlag == "all"
-	if !runTable1 && !runFig9 && !runFig10 && !runROC && !runExtAbl && !runExtTable && !runPar && !runAlloc && !runScan && !runObs && !runServe && !runSimd && !runQuant {
+	if !runTable1 && !runFig9 && !runFig10 && !runROC && !runExtAbl && !runExtTable && !runQuant {
 		fatal(fmt.Errorf("unknown experiment %q", *expFlag))
 	}
 
-	if runPar {
-		progress(fmt.Sprintf("parallel compute bench: %d workers", parallel.Workers()))
-		if err := runParallelBench(p, parallel.Workers(), *parallelOut, progress); err != nil {
-			fatal(err)
-		}
-	}
-
-	if runAlloc {
-		progress(fmt.Sprintf("allocation bench: %d workers", parallel.Workers()))
-		if err := runAllocBench(p, parallel.Workers(), *allocOut, progress); err != nil {
-			fatal(err)
-		}
-	}
-
-	if runScan {
-		progress(fmt.Sprintf("scan bench: %d workers", parallel.Workers()))
-		if err := runScanBench(p, parallel.Workers(), *scanOut, progress); err != nil {
-			fatal(err)
-		}
-	}
-
-	if runObs {
-		progress(fmt.Sprintf("observability overhead bench: %d workers", parallel.Workers()))
-		if err := runObsBench(p, parallel.Workers(), *obsOut, progress); err != nil {
-			fatal(err)
-		}
-	}
-
-	if runServe {
-		progress(fmt.Sprintf("serving bench: %d workers", parallel.Workers()))
-		if err := runServeBench(p, parallel.Workers(), *serveOut, progress); err != nil {
-			fatal(err)
-		}
-	}
-
-	if runSimd {
-		progress(fmt.Sprintf("simd kernel bench: %d workers, active kernel %s", parallel.Workers(), tensor.GemmKernel()))
-		if err := runSimdBench(p, parallel.Workers(), *simdOut, progress); err != nil {
-			fatal(err)
-		}
-	}
-
-	if runQuant {
-		progress(fmt.Sprintf("quant kernel bench: %d workers, active int8 kernel %s", parallel.Workers(), tensor.QGemmKernel()))
-		if err := runQuantBench(p, parallel.Workers(), *quantOut, progress); err != nil {
-			fatal(err)
-		}
-	}
-
-	needData := runTable1 || runFig9 || runFig10 || runROC || runExtAbl || runExtTable
-	if !needData {
-		return
-	}
 	progress("generating benchmark cases")
 	data := eval.LoadData(p)
 	for _, ds := range data.Cases {
@@ -283,6 +193,35 @@ func main() {
 		}
 		progress("figure 9 panels in " + *outFlag)
 	}
+
+	if runQuant {
+		if err := runQuantGate(p, data, progress); err != nil {
+			fatal(err)
+		}
+	}
+}
+
+// runQuantGate runs the int8 accuracy-delta gate on data: it trains one
+// model, runs the Table-1 protocol in fp32 and int8 and scores the
+// deltas against the shipping budget. It prints the verdict line, which
+// names no kernel or time, so runs under different int8 kernels can be
+// compared byte for byte, and it returns an error unless the verdict is
+// PASS. A profile too small to train a model that finds hotspots is
+// INCONCLUSIVE (fp32 recall under 50% or fewer than 100 hotspots),
+// which fails like an over-budget drift.
+func runQuantGate(p eval.Profile, data *eval.Data, progress func(string)) error {
+	progress(fmt.Sprintf("int8 accuracy gate: %d workers, int8 kernel %s", parallel.Workers(), tensor.QGemmKernel()))
+	res, err := eval.RunQuantGate(p, data, eval.DefaultQuantGateBudget(), progress)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("int8 accuracy gate: %s (recall %.2f%% → %.2f%% over %d hotspots, FA %d → %d, %d calibration rasters)\n",
+		res.Verdict(), res.FP32.Accuracy()*100, res.Int8.Accuracy()*100, res.FP32.GroundTruth,
+		res.FP32.FalseAlarms, res.Int8.FalseAlarms, res.CalibrationRasters)
+	if !res.Pass {
+		return fmt.Errorf("int8 accuracy gate %s: %s", res.Verdict(), strings.Join(res.Reasons, "; "))
+	}
+	return nil
 }
 
 func fatal(err error) {

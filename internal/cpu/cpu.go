@@ -34,9 +34,8 @@ type X86Features struct {
 	// GEMM kernels use; gated on the same ZMM OS state as AVX512F.
 	AVX512VNNI bool
 	// AVXVNNI is the 256-bit VEX encoding of the VNNI dot products
-	// (CPUID.7.1:EAX), gated on YMM OS state only. Probed for hostmeta
-	// completeness; the current int8 AVX2 kernel uses VPMADDUBSW, which
-	// predates it.
+	// (CPUID.7.1:EAX), gated on YMM OS state only. Probed so the
+	// feature list is complete; no int8 kernel uses it.
 	AVXVNNI bool
 }
 

@@ -17,11 +17,11 @@ func TestDetectCheckedValidatesRaster(t *testing.T) {
 	c := m.Config
 	bad := []*tensor.Tensor{
 		nil,
-		tensor.New(c.InputSize, c.InputSize),                       // wrong rank
-		tensor.New(2, InputChannels, c.InputSize, c.InputSize),     // batch > 1
-		tensor.New(1, 3, c.InputSize, c.InputSize),                 // wrong channels
-		tensor.New(1, InputChannels, c.InputSize-1, c.InputSize),   // not 8k
-		tensor.New(1, InputChannels, c.InputSize, c.InputSize-1),   // not 8k
+		tensor.New(c.InputSize, c.InputSize), // wrong rank
+		tensor.New(2, InputChannels, c.InputSize, c.InputSize),   // batch > 1
+		tensor.New(1, 3, c.InputSize, c.InputSize),               // wrong channels
+		tensor.New(1, InputChannels, c.InputSize-1, c.InputSize), // not 8k
+		tensor.New(1, InputChannels, c.InputSize, c.InputSize-1), // not 8k
 	}
 	for i, x := range bad {
 		dets, err := m.DetectChecked(x)

@@ -148,8 +148,7 @@ func TestDetectTelemetryAllocs(t *testing.T) {
 }
 
 // BenchmarkDetectRegionTelemetry is BenchmarkDetectRegion with a live
-// telemetry bundle — diffing the two pins the instrumentation overhead
-// (the rhsd-bench -exp obs guard automates the comparison).
+// telemetry bundle — diffing the two shows the instrumentation overhead.
 func BenchmarkDetectRegionTelemetry(b *testing.B) {
 	m, x := benchDetectSetup(b)
 	prev := m.Instruments()

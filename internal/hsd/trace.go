@@ -10,7 +10,7 @@ import (
 // workTrace hands worker replicas a per-megatile (or per-tile) span for
 // exactly one work item. With no trace attached every hook below is a
 // nil check, preserving the zero-allocation steady state (pinned by the
-// alloc guards and the `-exp obs` gate).
+// alloc guards and telemetry's TestNilTraceIsNoOp).
 
 // SetTrace attaches (or, with nil, detaches) the request trace: stage
 // spans opened by this model parent under parent, and layout scans add

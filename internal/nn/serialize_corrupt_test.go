@@ -18,9 +18,9 @@ func ckptParams() []*Param {
 	b := &Param{Name: "conv.b", W: tensor.New(4), Grad: tensor.New(4)}
 	vals := []float32{
 		1.5, -2.25,
-		math.Float32frombits(0x7fc00abc),        // NaN, nonzero payload
+		math.Float32frombits(0x7fc00abc), // NaN, nonzero payload
 		float32(math.Inf(1)), float32(math.Inf(-1)),
-		math.Float32frombits(0x80000000),        // -0
+		math.Float32frombits(0x80000000), // -0
 	}
 	copy(w.W.Data(), vals)
 	copy(b.W.Data(), []float32{0, math.Float32frombits(1), 3, -4}) // denormal

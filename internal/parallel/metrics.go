@@ -48,9 +48,8 @@ func RegisterMetrics(reg *telemetry.Registry) {
 	metricsPtr.Store(pm)
 }
 
-// DetachMetrics clears the active bundle so dispatches stop recording.
-// Benchmark harnesses use it to measure the telemetry-off baseline and
-// the instrumented path in one process (rhsd-bench -exp obs).
+// DetachMetrics clears the active bundle so dispatches stop recording,
+// returning the pool to its telemetry-off state.
 func DetachMetrics() { metricsPtr.Store(nil) }
 
 // noteSerial records a dispatch that ran inline on the caller.

@@ -159,10 +159,10 @@ func TestEnvWorkersValidation(t *testing.T) {
 		want int
 	}{
 		{"7", 7},
-		{"abc", cpu},     // non-numeric → NumCPU
-		{"-3", cpu},      // negative → NumCPU
-		{"0", cpu},       // zero → NumCPU
-		{"1e6", cpu},     // not an Atoi integer → NumCPU
+		{"abc", cpu},              // non-numeric → NumCPU
+		{"-3", cpu},               // negative → NumCPU
+		{"0", cpu},                // zero → NumCPU
+		{"1e6", cpu},              // not an Atoi integer → NumCPU
 		{"999999", maxEnvWorkers}, // oversized → clamp
 		{"", cpu},
 	}

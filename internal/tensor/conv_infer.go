@@ -245,8 +245,9 @@ func init() { convFusedEnabled.Store(true) }
 // SetConvFusedIm2col enables or disables fusing im2col into the packed
 // GEMM's B packer for inference convolutions, returning the previous
 // setting. Both paths are bit-identical (TestConvInferFusedMatches
-// Materialized); the toggle exists so the memory-traffic win stays
-// measurable (`rhsd-bench -exp simd`) and as an operational chicken bit.
+// Materialized); the toggle keeps the materialized path as the bit
+// reference those tests pin against and serves as an operational
+// chicken bit.
 func SetConvFusedIm2col(on bool) (prev bool) {
 	return convFusedEnabled.Swap(on)
 }

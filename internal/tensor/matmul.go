@@ -162,8 +162,8 @@ func GemmScoped(sc *ProfileScope, transA, transB bool, m, n, k int, alpha float3
 }
 
 // GemmUnblocked is the PR-1 row-parallel triple-loop kernel, kept as the
-// reference implementation: the packed kernel is validated against it in
-// tests and compared against it in `rhsd-bench -exp alloc`. Semantics
+// reference implementation the packed kernel is validated against in
+// tests. Semantics
 // match Gemm (including IEEE 0·NaN propagation); only the accumulation
 // *grouping* differs, so results agree to rounding, not to the bit.
 func GemmUnblocked(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {

@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// Per-stage profiling counters for the inference hot path. The quant
-// bench (`rhsd-bench -exp quant`) uses them to report where an int8
-// Detect actually spends its time — so a claim like "gemmRows no longer
+// Per-stage profiling counters for the inference hot path. The
+// repository benchmark (perfbench) reads them to report where a Detect
+// actually spends its time — so a claim like "gemmRows no longer
 // dominates" is measured from stage counters, not asserted from kernel
 // microbenchmarks.
 //

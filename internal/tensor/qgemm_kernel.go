@@ -11,20 +11,13 @@ import (
 // sibling of gemm_kernel.go. The packed int8 GEMM (qgemm_packed.go) is
 // parameterised the same way — MR×NR register tile, KC/NC cache
 // blocking — but accumulates in int32 over k-groups of 4 bytes, the
-// granule both VPMADDUBSW/VPMADDWD (AVX2) and VPDPBUSD (AVX-512 VNNI)
-// consume.
+// granule VPDPBUSD (AVX-512 VNNI) consumes.
 //
-// Numerics: integer accumulation is exact, so unlike the float32
-// registry there is no rounding-order concern — kernels of the "exact"
-// family are bit-identical for any geometry. The AVX2 kernel is its own
-// "sat16" family: VPMADDUBSW saturates the per-k-group pair sum to
-// int16, which can differ from the exact sum only when an activation
-// byte exceeds ActQMax (127) — impossible for values produced by
-// QuantParams.Quantize, so inside the calibrated domain every kernel
-// returns identical int32 sums (pinned by TestQGemmKernelDomainAgreement).
-// The saturating semantics are still part of the kernel's contract and
-// the qavx2 parity suite pins them against a portable twin that emulates
-// the saturation exactly, over full-range u8 inputs.
+// Numerics: every kernel accumulates u8·s8 products exactly in int32,
+// so unlike the float32 registry there is no rounding-order concern —
+// all kernels return bit-identical results for any geometry and any
+// input bytes (pinned by TestQGemmKernelDomainAgreement), and int8
+// outputs are the same on every host.
 const (
 	qgemmMaxMR   = 8
 	qgemmMaxNR   = 32
@@ -37,8 +30,6 @@ type qmicroKind uint8
 
 const (
 	qmicroGoExact qmicroKind = iota // portable exact int32 reference
-	qmicroGoSat16                   // portable VPMADDUBSW-saturation reference
-	qmicroAVX2x4x16
 	qmicroVNNI8x32
 )
 
@@ -47,33 +38,24 @@ const (
 type qgemmKernel struct {
 	name string
 	kind qmicroKind
-	ref  qmicroKind // portable bit-reference implementation
 	mr   int
 	nr   int
 	kc   int
 	nc   int
-	sat  bool // int16-saturating family (VPMADDUBSW semantics)
 }
 
-func (kr *qgemmKernel) family() string {
-	if kr.sat {
-		return "sat16"
-	}
-	return "exact"
-}
-
-// refTwin returns a same-geometry copy running the portable reference —
-// the comparison arm of the int8 bit-parity suites.
+// refTwin returns a same-geometry copy running the portable exact
+// reference — the comparison arm of the int8 bit-parity suites.
 func (kr *qgemmKernel) refTwin() *qgemmKernel {
 	twin := *kr
 	twin.name = kr.name + "-ref"
-	twin.kind = kr.ref
+	twin.kind = qmicroGoExact
 	return &twin
 }
 
 // qportableKernels are available on every architecture.
 var qportableKernels = []*qgemmKernel{
-	{name: "qgo", kind: qmicroGoExact, ref: qmicroGoExact, mr: 4, nr: 16, kc: 256, nc: 128},
+	{name: "qgo", kind: qmicroGoExact, mr: 4, nr: 16, kc: 256, nc: 128},
 }
 
 // qgemmActive is the kernel quantized GEMMs dispatch to.
@@ -121,18 +103,6 @@ func QGemmKernelAvailable(name string) bool {
 
 // QGemmKernel returns the name of the active int8 kernel.
 func QGemmKernel() string { return qgemmActive.Load().name }
-
-// QGemmKernelFamily returns "exact" or "sat16" for a registered int8
-// kernel, "" when unknown. Exact-family kernels produce bit-identical
-// int32 sums on any input; the sat16 family matches them everywhere
-// inside the calibrated activation domain (bytes ≤ ActQMax).
-func QGemmKernelFamily(name string) string {
-	kr := lookupQGemmKernel(name)
-	if kr == nil {
-		return ""
-	}
-	return kr.family()
-}
 
 // SetQGemmKernel makes the quantized GEMM dispatch to the named kernel
 // and returns the previously active name; unknown or unsupported names
@@ -210,44 +180,4 @@ func qgemmMicroGoExact(mr, nr, kc4 int, pa []int8, pb []uint8, acc *[qgemmMaxTil
 			}
 		}
 	}
-}
-
-// qgemmMicroGoSat16 is the portable reference for the AVX2 kernel: per
-// k-group, byte pairs are combined into int16 with saturation
-// (VPMADDUBSW), then the two pair sums are added exactly (VPMADDWD
-// against ones cannot overflow: |sum| ≤ 2·32768). Identical to the
-// exact reference whenever every activation byte is ≤ ActQMax.
-func qgemmMicroGoSat16(mr, nr, kc4 int, pa []int8, pb []uint8, acc *[qgemmMaxTile]int32) {
-	tile := acc[:mr*nr]
-	for i := range tile {
-		tile[i] = 0
-	}
-	pa = pa[:kc4*mr*4]
-	pb = pb[:kc4*nr*4]
-	for g := 0; g < kc4; g++ {
-		ag := pa[g*mr*4 : (g*mr+mr)*4]
-		bg := pb[g*nr*4 : (g*nr+nr)*4]
-		for r := 0; r < mr; r++ {
-			a0 := int32(ag[r*4])
-			a1 := int32(ag[r*4+1])
-			a2 := int32(ag[r*4+2])
-			a3 := int32(ag[r*4+3])
-			row := tile[r*nr : r*nr+nr]
-			for s := 0; s < nr; s++ {
-				lo := sat16(int32(bg[s*4])*a0 + int32(bg[s*4+1])*a1)
-				hi := sat16(int32(bg[s*4+2])*a2 + int32(bg[s*4+3])*a3)
-				row[s] += lo + hi
-			}
-		}
-	}
-}
-
-func sat16(v int32) int32 {
-	if v > 32767 {
-		return 32767
-	}
-	if v < -32768 {
-		return -32768
-	}
-	return v
 }

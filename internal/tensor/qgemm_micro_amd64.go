@@ -2,33 +2,25 @@ package tensor
 
 import "rhsd/internal/cpu"
 
-// amd64 int8 micro-kernel registrations.
+// amd64 int8 micro-kernel registration: qvnni 8×32, 16 ZMM
+// accumulators (8 rows × two 16-dword vectors), one VPDPBUSD per row
+// per k-group — exact int32 accumulation.
 //
-// Geometry notes:
-//   - qavx2 4×16: 8 YMM accumulators (4 rows × two 8-dword vectors),
-//     VPMADDUBSW → VPMADDWD(ones) → VPADDD per k-group; the int16
-//     saturation of VPMADDUBSW makes this its own "sat16" family.
-//   - qvnni 8×32: 16 ZMM accumulators (8 rows × two 16-dword vectors),
-//     one VPDPBUSD per row per k-group — exact int32 accumulation.
-//
-// KC is a multiple of 4 for every kernel (the packers emit 4-deep byte
-// groups). Integer accumulation is exact, so KC/NC need not match
-// across kernels for bit-stability — each kernel carries the blocking
-// the measured sweep (BenchmarkQGemmBlockSweep) preferred. KC=768
-// additionally makes the dominant backbone shapes (kk ≤ 768) a single
-// k-block, which skips the int32 carry buffer entirely.
+// KC is a multiple of 4 (the packers emit 4-deep byte groups).
+// Integer accumulation is exact, so KC/NC need not match qgo's for
+// bit-stability — qvnni carries the blocking the measured sweep
+// (BenchmarkQGemmBlockSweep) preferred. KC=768 additionally makes the
+// dominant backbone shapes (kk ≤ 768) a single k-block, which skips
+// the int32 carry buffer entirely.
 var qarchKernels = []*qgemmKernel{
-	{name: "qavx2", kind: qmicroAVX2x4x16, ref: qmicroGoSat16, mr: 4, nr: 16, kc: 768, nc: 512, sat: true},
-	{name: "qvnni", kind: qmicroVNNI8x32, ref: qmicroGoExact, mr: 8, nr: 32, kc: 768, nc: 128},
+	{name: "qvnni", kind: qmicroVNNI8x32, mr: 8, nr: 32, kc: 768, nc: 128},
 }
 
 // qarchPreferred orders the default selection widest-first.
-var qarchPreferred = []string{"qvnni", "qavx2", "qgo"}
+var qarchPreferred = []string{"qvnni", "qgo"}
 
 func qarchKernelUsable(kr *qgemmKernel) bool {
 	switch kr.kind {
-	case qmicroAVX2x4x16:
-		return cpu.X86.AVX2
 	case qmicroVNNI8x32:
 		return cpu.X86.HasAVX512VNNI()
 	default:
@@ -51,12 +43,6 @@ func qgemmMicroRun(kind qmicroKind, mr, nr, kc4 int, pa []int8, pb []uint8, acc 
 	switch kind {
 	case qmicroGoExact:
 		qgemmMicroGoExact(mr, nr, kc4, pa, pb, acc)
-	case qmicroGoSat16:
-		qgemmMicroGoSat16(mr, nr, kc4, pa, pb, acc)
-	case qmicroAVX2x4x16:
-		_ = pa[kc4*16-1]
-		_ = pb[kc4*64-1]
-		qgemmMicroAVX2(kc4, &pa[0], &pb[0], acc)
 	case qmicroVNNI8x32:
 		_ = pa[kc4*32-1]
 		_ = pb[kc4*128-1]
@@ -174,12 +160,9 @@ func qpackIm2colPanel(kind qmicroKind, bs qbSource, dst []uint8, j0, pc, kc int)
 	return true
 }
 
-// Assembly micro-kernels (qgemm_micro_amd64.s). Each overwrites the
-// leading mr×nr int32s of acc.
+// qgemmMicroVNNI is the assembly micro-kernel (qgemm_micro_amd64.s):
+// it overwrites the leading 8×32 int32s of acc.
 //
-//go:noescape
-func qgemmMicroAVX2(kc4 int, pa *int8, pb *uint8, acc *[qgemmMaxTile]int32)
-
 //go:noescape
 func qgemmMicroVNNI(kc4 int, pa *int8, pb *uint8, acc *[qgemmMaxTile]int32)
 

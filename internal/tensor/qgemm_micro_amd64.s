@@ -1,91 +1,4 @@
-// AVX2 int8 micro-kernel for the packed quantized GEMM: a 4×16 int32
-// register tile accumulated over kc4 4-deep k-groups.
-//
-//   acc[r*16+s] = Σ_g Σ_{j<4} pa[(g*4+r)*4+j] · pb[(g*16+s)*4+j]
-//
-// pb holds unsigned activation bytes, pa signed weight bytes, both laid
-// out in 4-byte k-groups (one dword per column / row). Each step loads
-// one 16-column B slice (Y12, Y13), broadcasts the 4 rows' weight
-// dwords in turn (Y14) and runs the classic pre-VNNI dot-product
-// sequence: VPMADDUBSW (u8·s8 pairs → int16, SATURATING), VPMADDWD
-// against word-ones (int16 pairs → exact int32), VPADDD into the
-// accumulators. The int16 saturation is the kernel's contract and is
-// emulated exactly by qgemmMicroGoSat16; it is unreachable while every
-// activation byte is ≤ 127 (see quant.go).
-//
-// func qgemmMicroAVX2(kc4 int, pa *int8, pb *uint8, acc *[256]int32)
 #include "textflag.h"
-
-TEXT ·qgemmMicroAVX2(SB), NOSPLIT, $0-32
-	MOVQ kc4+0(FP), CX
-	MOVQ pa+8(FP), SI
-	MOVQ pb+16(FP), DI
-	MOVQ acc+24(FP), DX
-
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-
-	// Y15 = 16 int16 ones, the VPMADDWD pair-sum multiplier.
-	VPCMPEQW Y15, Y15, Y15
-	VPSRLW   $15, Y15, Y15
-
-qavx2loop:
-	VMOVDQU (DI), Y12        // columns 0..7, one k-group dword each
-	VMOVDQU 32(DI), Y13      // columns 8..15
-
-	VPBROADCASTD (SI), Y14   // row 0 weight k-group
-	VPMADDUBSW   Y14, Y12, Y10
-	VPMADDWD     Y15, Y10, Y10
-	VPADDD       Y10, Y0, Y0
-	VPMADDUBSW   Y14, Y13, Y11
-	VPMADDWD     Y15, Y11, Y11
-	VPADDD       Y11, Y1, Y1
-
-	VPBROADCASTD 4(SI), Y14  // row 1
-	VPMADDUBSW   Y14, Y12, Y10
-	VPMADDWD     Y15, Y10, Y10
-	VPADDD       Y10, Y2, Y2
-	VPMADDUBSW   Y14, Y13, Y11
-	VPMADDWD     Y15, Y11, Y11
-	VPADDD       Y11, Y3, Y3
-
-	VPBROADCASTD 8(SI), Y14  // row 2
-	VPMADDUBSW   Y14, Y12, Y10
-	VPMADDWD     Y15, Y10, Y10
-	VPADDD       Y10, Y4, Y4
-	VPMADDUBSW   Y14, Y13, Y11
-	VPMADDWD     Y15, Y11, Y11
-	VPADDD       Y11, Y5, Y5
-
-	VPBROADCASTD 12(SI), Y14 // row 3
-	VPMADDUBSW   Y14, Y12, Y10
-	VPMADDWD     Y15, Y10, Y10
-	VPADDD       Y10, Y6, Y6
-	VPMADDUBSW   Y14, Y13, Y11
-	VPMADDWD     Y15, Y11, Y11
-	VPADDD       Y11, Y7, Y7
-
-	ADDQ $16, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  qavx2loop
-
-	VMOVDQU Y0, (DX)
-	VMOVDQU Y1, 32(DX)
-	VMOVDQU Y2, 64(DX)
-	VMOVDQU Y3, 96(DX)
-	VMOVDQU Y4, 128(DX)
-	VMOVDQU Y5, 160(DX)
-	VMOVDQU Y6, 192(DX)
-	VMOVDQU Y7, 224(DX)
-	VZEROUPPER
-	RET
 
 // AVX-512 VNNI int8 micro-kernel: an 8×32 int32 register tile
 // accumulated over kc4 4-deep k-groups.

@@ -8,14 +8,7 @@ var qarchKernels []*qgemmKernel
 
 var qarchPreferred []string
 
-func qarchKernelUsable(kr *qgemmKernel) bool {
-	switch kr.kind {
-	case qmicroGoExact, qmicroGoSat16:
-		return true
-	default:
-		return false
-	}
-}
+func qarchKernelUsable(kr *qgemmKernel) bool { return kr.kind == qmicroGoExact }
 
 // qinterleaveRows writes dst[s*4+j] = rj[s] for s < n (see the amd64
 // variant for the contract).
@@ -50,8 +43,6 @@ func qgemmMicroRun(kind qmicroKind, mr, nr, kc4 int, pa []int8, pb []uint8, acc 
 	switch kind {
 	case qmicroGoExact:
 		qgemmMicroGoExact(mr, nr, kc4, pa, pb, acc)
-	case qmicroGoSat16:
-		qgemmMicroGoSat16(mr, nr, kc4, pa, pb, acc)
 	default:
 		panic("tensor: unknown int8 micro-kernel kind")
 	}

@@ -12,7 +12,7 @@ import (
 // tiles — with three int8-specific twists:
 //
 //   - Panels are laid out in 4-deep k-groups (one dword per row/column
-//     per group), the granule VPMADDUBSW and VPDPBUSD consume: A panels
+//     per group), the granule VPDPBUSD consumes: A panels
 //     are [kc4][MR][4]int8, B panels [kc4][NR][4]uint8. K-tails zero-pad
 //     the A side, which makes the B side's tail bytes irrelevant.
 //   - Accumulation is int32 and exact, so k-blocks may combine in any

@@ -230,8 +230,8 @@ func TestQGemmFusedStoreMatchesRefTwin(t *testing.T) {
 
 // TestQConvPaperConfigKernelParity runs QConv2DInfer on every int8 trunk
 // conv shape of a 256-px PaperConfig detection pass (stem, backbone,
-// encoder and inception convs) under qvnni and under qgo, the portable
-// reference of the same exact family, and requires identical bits: the
+// encoder and inception convs) under qvnni and under qgo, its portable
+// reference, and requires identical bits: the
 // vector packer, the fused store and the carry across k-blocks must not
 // move any output.
 func TestQConvPaperConfigKernelParity(t *testing.T) {

@@ -7,21 +7,16 @@ import (
 
 // Int8 quantization primitives for the quantized inference path.
 //
-// Two schemes, chosen to keep every int8 micro-kernel exact over the
-// calibrated domain (DESIGN.md §16):
+// Two schemes (DESIGN.md §16):
 //
 //   - Weights: per-output-channel symmetric int8. Each output channel r
 //     gets scale[r] = maxabs(w[r,:])/127 and w quantizes to
 //     round-to-nearest-even(w/scale) saturated to [-127, 127]. Symmetric
 //     quantization needs no zero-point correction on the weight side.
-//   - Activations: per-tensor affine uint8 restricted to [0, 127] — one
-//     bit of range is deliberately given up so that any
-//     activation·weight pair satisfies |u8·s8| ≤ 127·127 and the AVX2
-//     VPMADDUBSW kernel's intermediate int16 pair sum (two products,
-//     ≤ 32258) can never saturate. Inside the calibrated domain all
-//     registered qgemm kernels therefore compute the same exact int32
-//     sums; the int16-saturating semantics only differ on
-//     out-of-contract inputs (see qgemm_kernel.go).
+//   - Activations: per-tensor affine uint8 restricted to [0, ActQMax]
+//     (127). Every calibrated scale and zero point, and so every int8
+//     output and the region_int8 benchmark digest, is derived from that
+//     cap; the qgemm kernels themselves accumulate exactly over any byte.
 //
 // Rounding is round-to-nearest-even with saturation in every direction:
 // ±Inf pin to the range ends and NaN maps to the representation of 0.0
@@ -36,7 +31,8 @@ type QuantParams struct {
 }
 
 // ActQMax is the top of the activation quantized range. 127 rather than
-// 255: see the package comment on VPMADDUBSW saturation.
+// 255: the calibrated parameters, and with them every int8 output and
+// the region_int8 digest, depend on it (see the package comment).
 const ActQMax = 127
 
 // WeightQMax is the symmetric weight bound; -128 is excluded so

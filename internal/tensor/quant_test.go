@@ -178,9 +178,10 @@ func TestQuantizeWeightsPerChannel(t *testing.T) {
 	}
 }
 
-// TestQuantActivationDomain pins the 7-bit activation contract that
-// keeps the sat16 kernel family exact: every quantized activation byte
-// is ≤ ActQMax, so |activation·weight| pair sums fit int16.
+// TestQuantActivationDomain pins the 7-bit activation contract: every
+// quantized activation byte is ≤ ActQMax. The calibrated parameters,
+// and with them every int8 output and the region_int8 digest, depend
+// on that cap.
 func TestQuantActivationDomain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var r QuantRange
