@@ -62,7 +62,7 @@ cache-smoke:
 # correctly nested stage spans, joined to /statusz scan history.
 trace-smoke:
 	$(GO) test -count=1 ./internal/telemetry
-	$(GO) test -count=1 -run 'TestScanTraceTree|TestPerTileScanTrace|TestProfileScopeParity' ./internal/hsd
+	$(GO) test -count=1 -run 'TestScanTraceTree|TestProfileScopeParity' ./internal/hsd
 	$(GO) test -race -count=1 -run 'TestTraceHammer' ./internal/telemetry
 	$(GO) run ./cmd/rhsd-serve -selftest -init-random -slow-scan 1ns
 

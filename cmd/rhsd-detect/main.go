@@ -9,12 +9,11 @@
 // single fully-convolutional forward pass — and the per-megatile
 // detections are merged with hotspot NMS. The -megatile flag picks the
 // factor: 0 (default) sizes it automatically from the -megatile-mem
-// workspace budget, an explicit N forces N×N regions per pass, and a
-// negative value falls back to the legacy per-tile scan. Detections
-// print as CSV (clip centre, size, score) in layout nm.
+// workspace budget and an explicit N forces N×N regions per pass.
+// Detections print as CSV (clip centre, size, score) in layout nm.
 //
-// Tiles are scanned concurrently by the parallel compute engine; -workers
-// (default: RHSD_WORKERS or NumCPU) sizes the pool. Results are
+// Megatiles are scanned concurrently by the parallel compute engine;
+// -workers (default: RHSD_WORKERS or NumCPU) sizes the pool. Results are
 // bit-identical for every worker count.
 //
 // The -cpuprofile and -memprofile flags write pprof profiles of the scan
@@ -50,7 +49,7 @@ func main() {
 	layoutPath := flag.String("layout", "", "layout file (BOUNDS/RECT format)")
 	pngPath := flag.String("png", "", "optional detection-map PNG output")
 	thresh := flag.Float64("threshold", -1, "override score threshold, 0 allowed (negative = config default)")
-	megatile := flag.Int("megatile", 0, "megatile factor: 0 = auto from -megatile-mem, N = N×N regions per pass, negative = per-tile scan")
+	megatile := flag.Int("megatile", 0, "megatile factor: 0 = auto from -megatile-mem, N = N×N regions per pass")
 	megatileMem := flag.Int("megatile-mem", 512, "inference workspace budget in MiB for -megatile 0 (auto)")
 	workers := flag.Int("workers", 0, "compute worker pool size (0 = RHSD_WORKERS or NumCPU)")
 	precision := flag.String("precision", "fp32", "trunk numeric path: fp32, or int8 (calibrated at startup on synthetic oracle-labeled layouts)")
@@ -68,6 +67,10 @@ func main() {
 		case "workers":
 			if *workers < 1 {
 				fatal(fmt.Errorf("-workers must be >= 1 (got %d)", *workers))
+			}
+		case "megatile":
+			if *megatile < 0 {
+				fatal(fmt.Errorf("-megatile must be >= 0 (got %d)", *megatile))
 			}
 		case "megatile-mem":
 			if *megatileMem < 1 {
@@ -162,17 +165,12 @@ func main() {
 		m.SetTrace(tr, tr.Root())
 	}
 
-	var dets []hsd.Detection
-	switch {
-	case *megatile < 0:
-		dets, err = m.DetectLayoutChecked(l, l.Bounds)
-	case *megatile == 0:
-		factor := m.AutoMegatileFactor(l.Bounds, int64(*megatileMem)<<20)
+	factor := *megatile
+	if factor == 0 {
+		factor = m.AutoMegatileFactor(l.Bounds, int64(*megatileMem)<<20)
 		fmt.Fprintf(os.Stderr, "rhsd-detect: auto megatile factor %d (budget %d MiB)\n", factor, *megatileMem)
-		dets, err = m.DetectLayoutMegatileChecked(l, l.Bounds, factor)
-	default:
-		dets, err = m.DetectLayoutMegatileChecked(l, l.Bounds, *megatile)
 	}
+	dets, err := m.DetectLayoutMegatileChecked(l, l.Bounds, factor)
 	if err != nil {
 		fatal(err)
 	}

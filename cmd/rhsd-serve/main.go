@@ -77,7 +77,7 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline covering queue wait and detection (0 = none)")
 	maxBody := flag.Int64("max-body", 16<<20, "largest accepted /detect body in bytes")
 	thresh := flag.Float64("threshold", -1, "override score threshold, 0 allowed (negative = config default)")
-	megatile := flag.Int("megatile", 0, "megatile factor: 0 = auto from -megatile-mem, N = N×N regions per pass, negative = per-tile scan")
+	megatile := flag.Int("megatile", 0, "megatile factor: 0 = auto from -megatile-mem, N = N×N regions per pass")
 	megatileMem := flag.Int("megatile-mem", 512, "per-clone inference workspace budget in MiB for -megatile 0 (auto)")
 	cacheMem := flag.Int("cache-mem", 64, "content-addressed megatile result cache budget in MiB, shared by the pool (0 = disabled)")
 	workers := flag.Int("workers", 0, "compute worker pool size (0 = RHSD_WORKERS or NumCPU)")
@@ -104,6 +104,10 @@ func main() {
 		case "workers":
 			if *workers < 1 {
 				fatal(fmt.Errorf("-workers must be >= 1 (got %d)", *workers))
+			}
+		case "megatile":
+			if *megatile < 0 {
+				fatal(fmt.Errorf("-megatile must be >= 0 (got %d)", *megatile))
 			}
 		case "megatile-mem":
 			if *megatileMem < 1 {
@@ -214,8 +218,7 @@ func shutdown(srv *http.Server, s *serve.Server) {
 // Prometheus exposition reflecting all of it.
 func runSelftest(c hsd.Config, cfg serve.Config, base string) error {
 	client := &http.Client{Timeout: 2 * time.Minute}
-	megatiles := cfg.MegatileFactor >= 0
-	cacheOn := megatiles && cfg.CacheMemMiB > 0
+	cacheOn := cfg.CacheMemMiB > 0
 
 	resp, err := client.Get(base + "/healthz")
 	if err != nil {
@@ -255,14 +258,12 @@ func runSelftest(c hsd.Config, cfg serve.Config, base string) error {
 	if err != nil {
 		return err
 	}
-	if megatiles {
-		if cold.ScanID <= 0 {
-			return fmt.Errorf("cold detect: scan_id %d, want > 0 on the megatile path", cold.ScanID)
-		}
-		if cold.TilesScanned < 1 || cold.TilesReused != 0 || cold.Incremental {
-			return fmt.Errorf("cold detect: tiles scanned=%d reused=%d incremental=%v",
-				cold.TilesScanned, cold.TilesReused, cold.Incremental)
-		}
+	if cold.ScanID <= 0 {
+		return fmt.Errorf("cold detect: scan_id %d, want > 0", cold.ScanID)
+	}
+	if cold.TilesScanned < 1 || cold.TilesReused != 0 || cold.Incremental {
+		return fmt.Errorf("cold detect: tiles scanned=%d reused=%d incremental=%v",
+			cold.TilesScanned, cold.TilesReused, cold.Incremental)
 	}
 
 	// The warm repeat posts the identical layout: the detections must be
@@ -279,18 +280,16 @@ func runSelftest(c hsd.Config, cfg serve.Config, base string) error {
 	// Re-posting the unchanged layout with ?since= takes the incremental
 	// path: an empty diff reuses every retained megatile and rasterizes
 	// nothing, and the detections still match.
-	if megatiles {
-		incr, err := detect("incremental detect", fmt.Sprintf("?since=%d", warm.ScanID))
-		if err != nil {
-			return err
-		}
-		if !incr.Incremental || incr.TilesScanned != 0 || incr.TilesReused < 1 {
-			return fmt.Errorf("incremental detect: incremental=%v scanned=%d reused=%d, want an all-reused rescan",
-				incr.Incremental, incr.TilesScanned, incr.TilesReused)
-		}
-		if !reflect.DeepEqual(incr.Detections, cold.Detections) {
-			return fmt.Errorf("incremental detect: detections differ from the cold scan")
-		}
+	incr, err := detect("incremental detect", fmt.Sprintf("?since=%d", warm.ScanID))
+	if err != nil {
+		return err
+	}
+	if !incr.Incremental || incr.TilesScanned != 0 || incr.TilesReused < 1 {
+		return fmt.Errorf("incremental detect: incremental=%v scanned=%d reused=%d, want an all-reused rescan",
+			incr.Incremental, incr.TilesScanned, incr.TilesReused)
+	}
+	if !reflect.DeepEqual(incr.Detections, cold.Detections) {
+		return fmt.Errorf("incremental detect: detections differ from the cold scan")
 	}
 
 	// The int8 override must run (the server always arms the quantized
@@ -318,10 +317,7 @@ func runSelftest(c hsd.Config, cfg serve.Config, base string) error {
 		return fmt.Errorf("malformed detect: status %d, want 400: %s", resp.StatusCode, body)
 	}
 
-	good := int64(3)
-	if megatiles {
-		good = 4
-	}
+	const good = 4
 	resp, err = client.Get(base + "/statusz")
 	if err != nil {
 		return fmt.Errorf("statusz: %w", err)
@@ -373,9 +369,7 @@ func runSelftest(c hsd.Config, cfg serve.Config, base string) error {
 		"rhsd_pool_workers",
 		"rhsd_detect_passes_total",
 		"rhsd_build_info{",
-	}
-	if megatiles {
-		wants = append(wants, `rhsd_scan_tiles_total{kind="megatile_reused"}`)
+		`rhsd_scan_tiles_total{kind="megatile_reused"}`,
 	}
 	if cacheOn {
 		wants = append(wants,
@@ -390,7 +384,7 @@ func runSelftest(c hsd.Config, cfg serve.Config, base string) error {
 		}
 	}
 
-	if err := selftestTraces(client, base, cold, st, megatiles, layoutText.Bytes()); err != nil {
+	if err := selftestTraces(client, base, cold, st, layoutText.Bytes()); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "rhsd-serve: selftest scanned layout, %d detections, pool %d, cache hits %d, trace %s\n",
@@ -404,7 +398,7 @@ func runSelftest(c hsd.Config, cfg serve.Config, base string) error {
 // children nested within their parents), the text rendering works, the
 // scan history on /statusz joins scans to traces, and an inbound W3C
 // traceparent header is adopted as the trace id.
-func selftestTraces(client *http.Client, base string, cold serve.DetectResponse, st serve.Status, megatiles bool, layoutText []byte) error {
+func selftestTraces(client *http.Client, base string, cold serve.DetectResponse, st serve.Status, layoutText []byte) error {
 	if len(cold.TraceID) != 32 {
 		return fmt.Errorf("traces: cold scan trace_id %q, want 32 hex digits", cold.TraceID)
 	}
@@ -415,17 +409,15 @@ func selftestTraces(client *http.Client, base string, cold serve.DetectResponse,
 		return fmt.Errorf("traces: statusz recorder retained=%d capacity=%d, want both >= 1",
 			st.TracesRetained, st.TraceCapacity)
 	}
-	if megatiles {
-		found := false
-		for _, e := range st.ScanHistory {
-			if e.ScanID == cold.ScanID && e.TraceID == cold.TraceID {
-				found = true
-			}
+	found := false
+	for _, e := range st.ScanHistory {
+		if e.ScanID == cold.ScanID && e.TraceID == cold.TraceID {
+			found = true
 		}
-		if !found {
-			return fmt.Errorf("traces: statusz scan history lacks scan %d with trace %s: %+v",
-				cold.ScanID, cold.TraceID, st.ScanHistory)
-		}
+	}
+	if !found {
+		return fmt.Errorf("traces: statusz scan history lacks scan %d with trace %s: %+v",
+			cold.ScanID, cold.TraceID, st.ScanHistory)
 	}
 
 	// The listing must contain the cold scan's trace.
@@ -486,17 +478,13 @@ func selftestTraces(client *http.Client, base string, cold serve.DetectResponse,
 			return fmt.Errorf("trace fetch: root has no %q span (children %v)", want, children)
 		}
 	}
-	workName := "tile"
-	if megatiles {
-		workName = "megatile"
-	}
 	workSpans, stageSpans := 0, 0
 	for _, c := range td.Root.Children {
 		if c.Name != "scan" {
 			continue
 		}
 		for _, mt := range c.Children {
-			if mt.Name != workName {
+			if mt.Name != "megatile" {
 				continue
 			}
 			workSpans++
@@ -507,20 +495,20 @@ func selftestTraces(client *http.Client, base string, cold serve.DetectResponse,
 				}
 			}
 			if !cacheAttr {
-				return fmt.Errorf("trace fetch: %s span lacks a cache outcome attr: %+v", workName, mt.Attrs)
+				return fmt.Errorf("trace fetch: megatile span lacks a cache outcome attr: %+v", mt.Attrs)
 			}
 			for _, stg := range mt.Children {
 				stageSpans++
 				if stg.StartNs < mt.StartNs || stg.StartNs+stg.DurationNs > mt.StartNs+mt.DurationNs {
-					return fmt.Errorf("trace fetch: stage %q [%d,+%d] outside its %s span [%d,+%d]",
-						stg.Name, stg.StartNs, stg.DurationNs, workName, mt.StartNs, mt.DurationNs)
+					return fmt.Errorf("trace fetch: stage %q [%d,+%d] outside its megatile span [%d,+%d]",
+						stg.Name, stg.StartNs, stg.DurationNs, mt.StartNs, mt.DurationNs)
 				}
 			}
 		}
 	}
 	if workSpans < 1 || stageSpans < 1 {
-		return fmt.Errorf("trace fetch: %d %s spans with %d stage children, want >= 1 of each",
-			workSpans, workName, stageSpans)
+		return fmt.Errorf("trace fetch: %d megatile spans with %d stage children, want >= 1 of each",
+			workSpans, stageSpans)
 	}
 
 	// Text rendering, addressed by request id this time (both keys work).
@@ -534,8 +522,8 @@ func selftestTraces(client *http.Client, base string, cold serve.DetectResponse,
 		return fmt.Errorf("trace txt: status %d: %s", resp.StatusCode, body)
 	}
 	txt := string(body)
-	if !strings.Contains(txt, "trace "+cold.TraceID) || !strings.Contains(txt, workName) {
-		return fmt.Errorf("trace txt: rendering lacks the header or %s spans:\n%s", workName, txt)
+	if !strings.Contains(txt, "trace "+cold.TraceID) || !strings.Contains(txt, "megatile") {
+		return fmt.Errorf("trace txt: rendering lacks the header or megatile spans:\n%s", txt)
 	}
 
 	// An inbound W3C traceparent must be adopted: the response echoes the

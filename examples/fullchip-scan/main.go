@@ -61,9 +61,10 @@ func main() {
 	fmt.Printf("chip: %d nm square, %d shapes, %d simulated hotspots\n\n",
 		chipNM, len(chip.Rects), len(gt))
 
-	// Region-based flow: overlapping region tiles, one pass each.
+	// Region-based flow: overlapping regions, one pass each (megatile
+	// factor 1).
 	start := time.Now()
-	regionDets := ours.DetectLayout(chip, chip.Bounds)
+	regionDets := ours.DetectLayoutMegatile(chip, chip.Bounds, 1)
 	regionTime := time.Since(start)
 	fmt.Printf("region-based flow: %4d detections in %8.3fs\n", len(regionDets), regionTime.Seconds())
 
@@ -95,8 +96,13 @@ func windowCount(c tcad.Config, chipNM int) int {
 	return (n + 1) * (n + 1)
 }
 
+// regionPasses counts the factor-1 scan's passes: per axis, one region at
+// the origin and one more per stride until the chip is covered.
 func regionPasses(c hsd.Config, chipNM int) int {
-	stride := c.RegionNM() - int(c.ClipNM())
-	n := (chipNM + stride - 1) / stride
+	spec := c.Megatile(1)
+	n := 1
+	if chipNM > spec.RegionNM {
+		n += (chipNM - spec.RegionNM + spec.StrideNM - 1) / spec.StrideNM
+	}
 	return n * n
 }

@@ -11,6 +11,7 @@ package eval
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"rhsd/internal/baseline/fasterrcnn"
@@ -180,6 +181,36 @@ type Data struct {
 	// MergedTrain is the union of all cases' training halves (§4: "three
 	// training layouts are merged together to train one model").
 	MergedTrain []*dataset.Region
+
+	// trained holds the R-HSD models trained on MergedTrain so far, one
+	// per configuration; see trainOurs.
+	trained []trainedModel
+}
+
+type trainedModel struct {
+	cfg hsd.Config
+	m   *hsd.Model
+}
+
+// trainOurs returns TrainOurs(cfg, d.MergedTrain, nil), training only the
+// first time a configuration is asked for. Training is deterministic, so
+// the experiments of one run that all train the profile's configuration
+// — Table 1, the "Full" ablation variants, the extended table, the ROC
+// sweep, Figure 9 and the int8 gate — share one model and report exactly
+// what separate trainings would. Experiments that adjust the shared
+// model (a threshold, the precision) restore it before returning.
+func (d *Data) trainOurs(cfg hsd.Config) (*hsd.Model, error) {
+	for _, t := range d.trained {
+		if reflect.DeepEqual(t.cfg, cfg) {
+			return t.m, nil
+		}
+	}
+	m, err := TrainOurs(cfg, d.MergedTrain, nil)
+	if err != nil {
+		return nil, err
+	}
+	d.trained = append(d.trained, trainedModel{cfg: cfg, m: m})
+	return m, nil
 }
 
 // LoadData synthesizes and labels all benchmark cases.
@@ -269,7 +300,7 @@ func RunTable1(p Profile, data *Data, progress func(string)) (*metrics.Table, er
 	sd.Train(data.MergedTrain, clipNM)
 
 	say("training %s (%d steps)", DetOurs, p.HSD.TrainSteps)
-	ours, err := TrainOurs(p.HSD, data.MergedTrain, nil)
+	ours, err := data.trainOurs(p.HSD)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +387,7 @@ func runVariants(variants []AblationVariant, data *Data, progress func(string)) 
 		if progress != nil {
 			progress(fmt.Sprintf("training variant %q", v.Name))
 		}
-		m, err := TrainOurs(v.Config, data.MergedTrain, nil)
+		m, err := data.trainOurs(v.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +425,7 @@ func RunFigure9(p Profile, data *Data, outDir string, progress func(string)) err
 	}
 	td := tcad.New(p.TCAD)
 	td.Train(data.MergedTrain)
-	ours, err := TrainOurs(p.HSD, data.MergedTrain, nil)
+	ours, err := data.trainOurs(p.HSD)
 	if err != nil {
 		return err
 	}

@@ -70,6 +70,42 @@ func TestAblationVariantsToggleTheRightKnobs(t *testing.T) {
 	}
 }
 
+// TestExperimentsShareOneTrainedModel pins the sharing behind
+// rhsd-bench -exp all: every experiment on one Data asks trainOurs for
+// its configuration and gets the model trained on first request. Sharing
+// is sound only because training is deterministic, so a separate
+// training must score identically.
+func TestExperimentsShareOneTrainedModel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training smoke test skipped in -short")
+	}
+	p := SmokeProfile()
+	data := LoadData(p)
+	m, err := data.trainOurs(p.HSD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := data.trainOurs(p.HSD); again != m {
+		t.Fatal("a second request for the same configuration trained a new model")
+	}
+	woRef := p.HSD
+	woRef.UseRefine = false
+	if other, _ := data.trainOurs(woRef); other == m {
+		t.Fatal("a different configuration got the shared model")
+	}
+	fresh, err := TrainOurs(p.HSD, data.MergedTrain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range data.Cases {
+		shared, separate := EvalOurs(m, ds.Test), EvalOurs(fresh, ds.Test)
+		shared.Elapsed, separate.Elapsed = 0, 0
+		if shared != separate {
+			t.Fatalf("%s: shared model scores %+v, a separate training %+v", ds.Name, shared, separate)
+		}
+	}
+}
+
 func TestRunTable1SmokeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline smoke test skipped in -short")

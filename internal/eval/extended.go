@@ -41,7 +41,7 @@ func RunExtendedTable1(p Profile, data *Data, progress func(string)) (*metrics.T
 	ab.Train(data.MergedTrain)
 
 	say("training " + DetOurs)
-	ours, err := TrainOurs(p.HSD, data.MergedTrain, nil)
+	ours, err := data.trainOurs(p.HSD)
 	if err != nil {
 		return nil, err
 	}

@@ -173,7 +173,8 @@ func evalOursPrecision(m *hsd.Model, data *Data, precision string) (metrics.Outc
 	return total, nil
 }
 
-// RunQuantGate trains one R-HSD model, calibrates its int8 path on
+// RunQuantGate trains the profile's R-HSD model (or reuses the one an
+// earlier experiment trained on data), calibrates its int8 path on
 // oracle-labeled training clips, evaluates the Table-1 protocol under
 // both precisions and scores the deltas against the budget. progress
 // (may be nil) receives coarse status lines.
@@ -187,7 +188,7 @@ func RunQuantGate(p Profile, data *Data, b QuantGateBudget, progress func(string
 		}
 	}
 	say("training R-HSD (%d steps)", p.HSD.TrainSteps)
-	m, err := TrainOurs(p.HSD, data.MergedTrain, nil)
+	m, err := data.trainOurs(p.HSD)
 	if err != nil {
 		return nil, err
 	}

@@ -95,7 +95,7 @@ func RunROC(p Profile, data *Data, progress func(string)) ([]ROCResult, error) {
 	sd := ssd.New(p.SSD)
 	sd.Train(data.MergedTrain, p.HSD.ClipNM())
 	say("training %s", DetOurs)
-	ours, err := TrainOurs(p.HSD, data.MergedTrain, nil)
+	ours, err := data.trainOurs(p.HSD)
 	if err != nil {
 		return nil, err
 	}

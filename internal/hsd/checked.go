@@ -6,17 +6,19 @@ import (
 
 	"rhsd/internal/guard"
 	"rhsd/internal/layout"
-	"rhsd/internal/tensor"
 )
 
-// This file is the package's panic-free boundary. The detection kernels
-// keep zero-cost panic contracts (shape checks compile to a compare and a
-// static panic, nothing is plumbed through the hot loops); the *Checked
-// wrappers validate the inputs a caller can plausibly get wrong up front
-// with descriptive errors, then run the kernel through guard.Run so any
-// remaining panic — a bug, a corrupt model, an unforeseen input — comes
-// back as a *guard.PanicError instead of tearing down a long-running
-// process. rhsd-serve is built entirely on these wrappers.
+// This file is the package's panic-free boundary for inputs read from
+// files. The detection kernels keep zero-cost panic contracts (shape
+// checks compile to a compare and a static panic, nothing is plumbed
+// through the hot loops); the *Checked wrappers validate the inputs a
+// caller can plausibly get wrong up front with descriptive errors, then
+// run the kernel through guard.Run so any remaining panic — a bug, a
+// corrupt model, an unforeseen input — comes back as a *guard.PanicError.
+// rhsd-detect loads its checkpoint with LoadChecked and scans the layout
+// file it read with DetectLayoutMegatileChecked. rhsd-serve loads with
+// LoadChecked too, but parses request bodies with layout.ParseChecked and
+// runs every scan inside its own guard.Run boundary.
 
 // ErrBadInput tags validation failures of the checked detection API so
 // servers can map them to 4xx responses (errors.Is).
@@ -24,20 +26,6 @@ var ErrBadInput = errors.New("invalid detection input")
 
 func badInputf(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, ErrBadInput)...)
-}
-
-// validateRaster mirrors the InferBase shape contract as an error.
-func validateRaster(x *tensor.Tensor) error {
-	if x == nil {
-		return badInputf("hsd: nil input raster")
-	}
-	if x.Rank() != 4 || x.Dim(0) != 1 || x.Dim(1) != InputChannels ||
-		x.Dim(2) <= 0 || x.Dim(2)%FeatureStride != 0 ||
-		x.Dim(3) <= 0 || x.Dim(3)%FeatureStride != 0 {
-		return badInputf("hsd: input raster shape %v, want [1 %d H W] with H, W positive multiples of %d",
-			x.Shape(), InputChannels, FeatureStride)
-	}
-	return nil
 }
 
 // validateWindow checks a scan request's layout and window.
@@ -51,34 +39,11 @@ func validateWindow(l *layout.Layout, window layout.Rect) error {
 	return nil
 }
 
-// DetectChecked is Detect behind the error boundary: invalid rasters
-// return an ErrBadInput-tagged error, and any panic from the inference
-// stack is converted into a *guard.PanicError. Valid inputs produce
-// bit-identical results to Detect.
-func (m *Model) DetectChecked(x *tensor.Tensor) (dets []Detection, err error) {
-	if err := validateRaster(x); err != nil {
-		return nil, err
-	}
-	if err := guard.Run(func() { dets = m.Detect(x) }); err != nil {
-		return nil, err
-	}
-	return dets, nil
-}
-
-// DetectLayoutChecked is DetectLayout behind the error boundary.
-func (m *Model) DetectLayoutChecked(l *layout.Layout, window layout.Rect) (dets []Detection, err error) {
-	if err := validateWindow(l, window); err != nil {
-		return nil, err
-	}
-	if err := guard.Run(func() { dets = m.DetectLayout(l, window) }); err != nil {
-		return nil, err
-	}
-	return dets, nil
-}
-
 // DetectLayoutMegatileChecked is DetectLayoutMegatile behind the error
-// boundary. Any factor is accepted (the kernel clamps it); layout and
-// window are validated like DetectLayoutChecked.
+// boundary: a nil layout or an empty window returns an
+// ErrBadInput-tagged error, and any panic from the scan is converted into
+// a *guard.PanicError. Any factor is accepted (the kernel clamps it).
+// Valid inputs produce bit-identical results to DetectLayoutMegatile.
 func (m *Model) DetectLayoutMegatileChecked(l *layout.Layout, window layout.Rect, factor int) (dets []Detection, err error) {
 	if err := validateWindow(l, window); err != nil {
 		return nil, err
@@ -87,34 +52,6 @@ func (m *Model) DetectLayoutMegatileChecked(l *layout.Layout, window layout.Rect
 		return nil, err
 	}
 	return dets, nil
-}
-
-// ScanLayoutMegatileChecked is ScanLayoutMegatile behind the error
-// boundary, validated like DetectLayoutMegatileChecked.
-func (m *Model) ScanLayoutMegatileChecked(l *layout.Layout, window layout.Rect, factor int) (res *ScanResult, err error) {
-	if err := validateWindow(l, window); err != nil {
-		return nil, err
-	}
-	if err := guard.Run(func() { res = m.ScanLayoutMegatile(l, window, factor) }); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RescanLayoutMegatileChecked is RescanLayoutMegatile behind the error
-// boundary. A prev without retained scan state (nil, or from a
-// detect-only path) is an ErrBadInput error rather than a panic.
-func (m *Model) RescanLayoutMegatileChecked(prev *ScanResult, l *layout.Layout, dirty []layout.Rect) (res *ScanResult, err error) {
-	if prev == nil || prev.perTile == nil {
-		return nil, badInputf("hsd: rescan needs a ScanResult from ScanLayoutMegatile")
-	}
-	if l == nil {
-		return nil, badInputf("hsd: nil layout")
-	}
-	if err := guard.Run(func() { res = m.RescanLayoutMegatile(prev, l, dirty) }); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // LoadChecked restores model parameters from a checkpoint like Load, with

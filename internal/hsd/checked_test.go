@@ -12,52 +12,14 @@ import (
 	"rhsd/internal/tensor"
 )
 
-func TestDetectCheckedValidatesRaster(t *testing.T) {
-	m := parityModel(t)
-	c := m.Config
-	bad := []*tensor.Tensor{
-		nil,
-		tensor.New(c.InputSize, c.InputSize), // wrong rank
-		tensor.New(2, InputChannels, c.InputSize, c.InputSize),   // batch > 1
-		tensor.New(1, 3, c.InputSize, c.InputSize),               // wrong channels
-		tensor.New(1, InputChannels, c.InputSize-1, c.InputSize), // not 8k
-		tensor.New(1, InputChannels, c.InputSize, c.InputSize-1), // not 8k
-	}
-	for i, x := range bad {
-		dets, err := m.DetectChecked(x)
-		if err == nil || !errors.Is(err, ErrBadInput) {
-			t.Fatalf("case %d: err = %v, want ErrBadInput", i, err)
-		}
-		if dets != nil {
-			t.Fatalf("case %d: detections returned alongside error", i)
-		}
-	}
-}
-
-func TestDetectCheckedMatchesDetect(t *testing.T) {
-	m := parityModel(t)
-	rng := rand.New(rand.NewSource(7))
-	x := tensor.New(1, InputChannels, m.Config.InputSize, m.Config.InputSize)
-	x.RandUniform(rng, 0, 1)
-	want := m.Detect(x)
-	got, err := m.DetectChecked(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDetections(t, "DetectChecked", want, got)
-}
-
 func TestDetectLayoutCheckedValidates(t *testing.T) {
 	m := parityModel(t)
-	if _, err := m.DetectLayoutChecked(nil, layout.R(0, 0, 100, 100)); !errors.Is(err, ErrBadInput) {
+	if _, err := m.DetectLayoutMegatileChecked(nil, layout.R(0, 0, 100, 100), 2); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil layout: err = %v", err)
 	}
 	l := layout.New(layout.R(0, 0, 100, 100))
-	if _, err := m.DetectLayoutChecked(l, layout.R(5, 5, 5, 9)); !errors.Is(err, ErrBadInput) {
+	if _, err := m.DetectLayoutMegatileChecked(l, layout.R(5, 5, 5, 9), 1); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty window: err = %v", err)
-	}
-	if _, err := m.DetectLayoutMegatileChecked(nil, layout.R(0, 0, 100, 100), 2); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("megatile nil layout: err = %v", err)
 	}
 }
 
@@ -65,9 +27,11 @@ func TestDetectCheckedConvertsPanics(t *testing.T) {
 	m := parityModel(t)
 	// Corrupt internal state so the kernel panics (nil anchor set): the
 	// boundary must return a *guard.PanicError, not crash the test binary.
+	// A one-region window is one megatile, scanned on the caller's
+	// goroutine, where guard.Run can recover the panic.
 	m.Anchors = nil
-	x := tensor.New(1, InputChannels, m.Config.InputSize, m.Config.InputSize)
-	_, err := m.DetectChecked(x)
+	l := layout.New(layout.R(0, 0, m.Config.RegionNM(), m.Config.RegionNM()))
+	_, err := m.DetectLayoutMegatileChecked(l, l.Bounds, 1)
 	var pe *guard.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *guard.PanicError", err)
@@ -120,19 +84,19 @@ func scanLayout(c Config) *layout.Layout {
 func TestScanWorkersCapParity(t *testing.T) {
 	m := parityModel(t)
 	l := scanLayout(m.Config)
-	full := detectAtWorkers(8, func() []Detection { return m.DetectLayout(l, l.Bounds) })
+	full := detectAtWorkers(8, func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) })
 
 	capped := parityModel(t)
 	capped.SetScanWorkers(1)
-	serial := detectAtWorkers(8, func() []Detection { return capped.DetectLayout(l, l.Bounds) })
+	serial := detectAtWorkers(8, func() []Detection { return capped.DetectLayoutMegatile(l, l.Bounds, 1) })
 	assertSameDetections(t, "scanWorkers=1", full, serial)
 
 	capped.SetScanWorkers(2)
-	two := detectAtWorkers(8, func() []Detection { return capped.DetectLayout(l, l.Bounds) })
+	two := detectAtWorkers(8, func() []Detection { return capped.DetectLayoutMegatile(l, l.Bounds, 1) })
 	assertSameDetections(t, "scanWorkers=2", full, two)
 
 	capped.SetScanWorkers(0) // back to the default
-	def := detectAtWorkers(8, func() []Detection { return capped.DetectLayout(l, l.Bounds) })
+	def := detectAtWorkers(8, func() []Detection { return capped.DetectLayoutMegatile(l, l.Bounds, 1) })
 	assertSameDetections(t, "scanWorkers reset", full, def)
 }
 
@@ -153,19 +117,19 @@ func TestCachedReplicasResyncAfterLoad(t *testing.T) {
 
 	m := parityModel(t)
 	l := scanLayout(m.Config)
-	detectAtWorkers(4, func() []Detection { return m.DetectLayout(l, l.Bounds) }) // warm the cache
+	detectAtWorkers(4, func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) }) // warm the cache
 	if err := m.LoadChecked(path); err != nil {
 		t.Fatal(err)
 	}
-	got := detectAtWorkers(4, func() []Detection { return m.DetectLayout(l, l.Bounds) })
-	want := detectAtWorkers(4, func() []Detection { return other.DetectLayout(l, l.Bounds) })
+	got := detectAtWorkers(4, func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) })
+	want := detectAtWorkers(4, func() []Detection { return other.DetectLayoutMegatile(l, l.Bounds, 1) })
 	assertSameDetections(t, "replica resync", want, got)
 }
 
 func TestTrimWorkspaceCascadesToReplicas(t *testing.T) {
 	m := parityModel(t)
 	l := scanLayout(m.Config)
-	detectAtWorkers(4, func() []Detection { return m.DetectLayout(l, l.Bounds) })
+	detectAtWorkers(4, func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) })
 	if m.TotalWorkspaceFootprint() <= m.WorkspaceFootprint() {
 		t.Skip("no replicas were cached (single-CPU run)")
 	}

@@ -243,9 +243,10 @@ func (c Config) RegionNM() int { return int(float64(c.InputSize) * c.PitchNM) }
 // ClipNM returns the ground-truth clip size in nanometres.
 func (c Config) ClipNM() float64 { return c.ClipPx * c.PitchNM }
 
-// HaloNM is the megatile seam margin in nanometres: half a clip, the same
-// worst-case context the per-tile scan's one-clip overlap guarantees a
-// seam hotspot. Adjacent megatiles overlap by two halos and detections
+// HaloNM is the megatile seam margin in nanometres: half a clip, so the
+// two-halo overlap between adjacent megatiles is one clip, the classic
+// sliding-window guarantee that a seam hotspot is seen whole by at least
+// one pass. Adjacent megatiles overlap by two halos and detections
 // are owned by the megatile whose edge is at least one halo away from
 // their clip centre (DESIGN.md §11). The network's theoretical receptive
 // field is wider than this; the halo bounds the *clip-containment*

@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 
 	"rhsd/internal/geom"
-	"rhsd/internal/layout"
 	"rhsd/internal/parallel"
-	"rhsd/internal/telemetry"
 	"rhsd/internal/tensor"
 )
 
@@ -95,9 +93,9 @@ func (m *Model) nmsInto(s *detectScratch, clips []ScoredClip) []ScoredClip {
 // grid, bounded by the w×h pixel extent of the raster that produced out.
 // The pre-NMS top-K and proposal-count budgets scale with the grid's cell
 // count relative to the nominal grid, so a megatile keeps the same
-// proposal density per unit area as a per-tile scan; at the nominal size
-// both scale factors are exactly 1 and the behaviour is unchanged. The
-// returned slice aliases scratch buffers and is valid until the next
+// proposal density per unit area as a single-region pass; at the nominal
+// size both scale factors are exactly 1 and the behaviour is unchanged.
+// The returned slice aliases scratch buffers and is valid until the next
 // proposalsInto/nmsInto call.
 func (m *Model) proposalsInto(s *detectScratch, set *AnchorSet, out *BaseOutput, w, h int) []ScoredClip {
 	c := m.Config
@@ -245,91 +243,6 @@ func (m *Model) Detect(x *tensor.Tensor) []Detection {
 		ins.Detections.Add(int64(len(dets)))
 	}
 	return dets
-}
-
-// DetectLayout scans an arbitrarily large layout window by tiling it into
-// overlapping regions of the model's input size, detecting each tile in
-// one forward pass and merging the tile detections with h-NMS. Detections
-// are returned in nanometre coordinates relative to the window origin.
-//
-// Tiles overlap by one clip so hotspots on tile seams are seen centred in
-// at least one tile — the region-based analogue of the conventional
-// sliding-clip overlap, but with a stride of nearly a full region rather
-// than a clip core (the source of the paper's ~45× speedup).
-//
-// Tiles are scanned concurrently on up to parallel.Workers() goroutines,
-// each driving its own model replica (Clone) because layers cache forward
-// activations. Per-tile results land in a slice indexed by tile and are
-// concatenated in row-major tile order before the final h-NMS, so the
-// output is bit-identical to a serial scan for every worker count.
-func (m *Model) DetectLayout(l *layout.Layout, window layout.Rect) []Detection {
-	c := m.Config
-	regionNM := c.RegionNM()
-	overlapNM := int(c.ClipNM())
-	strideNM := regionNM - overlapNM
-	if strideNM <= 0 {
-		strideNM = regionNM
-	}
-	ys := tileOrigins(window.Y0, window.Y1, regionNM, strideNM)
-	xs := tileOrigins(window.X0, window.X1, regionNM, strideNM)
-	type tile struct{ x, y int }
-	tiles := make([]tile, 0, len(ys)*len(xs))
-	for _, y := range ys {
-		for _, x := range xs {
-			tiles = append(tiles, tile{x, y})
-		}
-	}
-
-	scanTile := func(mw *Model, t tile) []ScoredClip {
-		sub := l.Window(layout.R(t.x, t.y, t.x+regionNM, t.y+regionNM))
-		raster := MakeSample(sub, nil, c).Raster
-		var clips []ScoredClip
-		for _, d := range mw.Detect(raster) {
-			clipNM := d.Clip.Scale(c.PitchNM).Translate(float64(t.x-window.X0), float64(t.y-window.Y0))
-			clips = append(clips, ScoredClip{Clip: clipNM, Score: d.Score})
-		}
-		return clips
-	}
-
-	tr := m.trace
-	var scanSpan *telemetry.TraceSpan
-	if tr != nil {
-		scanSpan = tr.StartSpan(m.tspan, "scan")
-		scanSpan.SetAttr("tiles", int64(len(tiles)))
-		prev := m.tspan
-		m.tspan = scanSpan
-		defer func() {
-			m.tspan = prev
-			tr.EndSpan(scanSpan)
-		}()
-	}
-
-	perTile := make([][]ScoredClip, len(tiles))
-	m.scanReplicated(len(tiles), func(mw *Model, w, i int) {
-		t := tiles[i]
-		wt := beginWorkTrace(tr, scanSpan, mw, "tile", w)
-		wt.span.SetAttr("x_nm", int64(t.x))
-		wt.span.SetAttr("y_nm", int64(t.y))
-		perTile[i] = scanTile(mw, t)
-		wt.end(tr)
-	})
-
-	var all []ScoredClip
-	for _, clips := range perTile {
-		all = append(all, clips...)
-	}
-	sp := m.stageSpan(StageHNMS)
-	merged := m.nms(all)
-	sp.End()
-	out := make([]Detection, len(merged))
-	for i, s := range merged {
-		out[i] = Detection{Clip: s.Clip, Score: s.Score}
-	}
-	if ins := m.ins; ins != nil {
-		ins.TilesScanned.Add(int64(len(tiles)))
-		ins.WorkspaceBytes.Set(int64(m.TotalWorkspaceFootprint()) * 4)
-	}
-	return out
 }
 
 // scanReplicated runs scan(replica, i) for every work item i in [0, n) on

@@ -14,14 +14,15 @@ func TestDetectLayoutTilesLargeWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A 2×2-region layout; untrained model — we only validate tiling
-	// mechanics: no panic, detections inside the window, nm coordinates.
+	// A 2×2-region layout scanned region by region; untrained model — we
+	// only validate tiling mechanics: no panic, detections inside the
+	// window, nm coordinates.
 	regionNM := c.RegionNM()
 	big := layout.New(layout.R(0, 0, 2*regionNM, 2*regionNM))
 	for x := 40; x < 2*regionNM-40; x += 160 {
 		big.Add(layout.R(x, 40, x+64, 2*regionNM-40))
 	}
-	dets := m.DetectLayout(big, big.Bounds)
+	dets := m.DetectLayoutMegatile(big, big.Bounds, 1)
 	for _, d := range dets {
 		if d.Clip.X0 < -1 || d.Clip.Y0 < -1 ||
 			d.Clip.X1 > float64(2*regionNM)+1 || d.Clip.Y1 > float64(2*regionNM)+1 {
@@ -45,8 +46,8 @@ func TestDetectLayoutWindowOffsetsAreRelative(t *testing.T) {
 		l1.Add(layout.R(x, 40, x+64, regionNM-40))
 		l2.Add(layout.R(x+regionNM, 40+regionNM, x+64+regionNM, 2*regionNM-40))
 	}
-	d1 := m.DetectLayout(l1, l1.Bounds)
-	d2 := m.DetectLayout(l2, l2.Bounds)
+	d1 := m.DetectLayoutMegatile(l1, l1.Bounds, 1)
+	d2 := m.DetectLayoutMegatile(l2, l2.Bounds, 1)
 	if len(d1) != len(d2) {
 		t.Fatalf("translation changed detection count: %d vs %d", len(d1), len(d2))
 	}

@@ -13,7 +13,7 @@ import (
 // available on this host it checks that a full region scan is
 // bit-identical at 1 and 8 workers, and that kernels of one rounding
 // family (muladd: go/sse; fma: go-fma/avx2/avx512) produce bit-identical
-// scans — the per-element accumulation order is geometry-independent, so
+// region-by-region (factor 1) scans — the per-element accumulation order is geometry-independent, so
 // register-tile width must not leak into results. Across families a
 // single rounding per multiply-add step legitimately shifts logits —
 // and therefore regressed box coordinates — by ulps, so there the
@@ -45,8 +45,8 @@ func TestDetectLayoutParityAcrossKernels(t *testing.T) {
 		}
 		tested++
 
-		serial := detectAtWorkers(1, func() []Detection { return m.DetectLayout(l, l.Bounds) })
-		par := detectAtWorkers(8, func() []Detection { return m.DetectLayout(l, l.Bounds) })
+		serial := detectAtWorkers(1, func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) })
+		par := detectAtWorkers(8, func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) })
 		assertSameDetections(t, "kernel "+name, serial, par)
 
 		fam := tensor.GemmKernelFamily(name)

@@ -6,13 +6,13 @@ import (
 	"rhsd/internal/tensor"
 )
 
-// This file implements the megatile scan: instead of rasterizing and
-// inferring every InputSize tile independently — recomputing backbone
-// features in every overlap band and paying per-tile dispatch, anchor
-// decode and rasterization overhead — the layout is cut into megatiles of
-// Factor×Factor regions, each rasterized once and pushed through a single
-// fully-convolutional forward pass whose CPN output covers Factor² tiles'
-// worth of layout. Megatiles are the unit of work for the parallel scan;
+// This file implements the layout scan: the layout is cut into megatiles
+// of Factor×Factor regions, each rasterized once and pushed through a
+// single fully-convolutional forward pass whose CPN output covers Factor²
+// regions' worth of layout. At Factor 1 this is a region-by-region scan;
+// larger factors stop recomputing backbone features in every overlap band
+// and paying per-region dispatch, anchor decode and rasterization
+// overhead. Megatiles are the unit of work for the parallel scan;
 // seams are handled by a halo-ownership rule (see seamBoundaries) plus the
 // cross-megatile h-NMS merge. DESIGN.md §11 documents the halo math and
 // the bit-identity caveat at megatile borders.
@@ -117,8 +117,8 @@ func keptBy(boundaries []float64, v float64, i int, slack float64) bool {
 // RegionRaster rasterizes a layout's bounds into the detector's
 // two-channel input tensor of px×px pixels — MakeSample's raster step
 // generalized to megatile sizes. Each layout window is rasterized exactly
-// once per megatile; the per-tile scan's re-rasterization of every
-// one-clip overlap strip is what this path eliminates.
+// once per megatile, so only the overlap strips between megatiles are
+// rasterized twice.
 func RegionRaster(l *layout.Layout, c Config, px int) *tensor.Tensor {
 	raster := l.Rasterize(l.Bounds, c.PitchNM)
 	img := tensor.New(1, InputChannels, px, px)
@@ -157,7 +157,6 @@ type ScanResult struct {
 
 	window  layout.Rect
 	spec    MegatileSpec
-	xs, ys  []int
 	perTile [][]ScoredClip // post-ownership, window-relative nm clips
 	version [32]byte       // weights version the scan ran under
 }
@@ -180,20 +179,18 @@ func (t megatile) tileRect(spec MegatileSpec) layout.Rect {
 	return layout.R(t.x, t.y, t.x+spec.RegionNM, t.y+spec.RegionNM)
 }
 
-// megatileGrid lays out the scan geometry for a window: megatile
-// origins, seam ownership boundaries and the row-major work list.
-func megatileGrid(spec MegatileSpec, window layout.Rect) (xs, ys []int, xb, yb []float64, tiles []megatile) {
-	ys = tileOrigins(window.Y0, window.Y1, spec.RegionNM, spec.StrideNM)
-	xs = tileOrigins(window.X0, window.X1, spec.RegionNM, spec.StrideNM)
-	yb = seamBoundaries(ys, spec.RegionNM)
-	xb = seamBoundaries(xs, spec.RegionNM)
+// megatileGrid lays out the scan geometry for a window: seam ownership
+// boundaries and the row-major work list.
+func megatileGrid(spec MegatileSpec, window layout.Rect) (xb, yb []float64, tiles []megatile) {
+	ys := tileOrigins(window.Y0, window.Y1, spec.RegionNM, spec.StrideNM)
+	xs := tileOrigins(window.X0, window.X1, spec.RegionNM, spec.StrideNM)
 	tiles = make([]megatile, 0, len(ys)*len(xs))
 	for iy, y := range ys {
 		for ix, x := range xs {
 			tiles = append(tiles, megatile{x, y, ix, iy})
 		}
 	}
-	return xs, ys, xb, yb, tiles
+	return seamBoundaries(xs, spec.RegionNM), seamBoundaries(ys, spec.RegionNM), tiles
 }
 
 // scanOneMegatile rasterizes one megatile, runs the forward pass (through
@@ -228,11 +225,11 @@ func (m *Model) scanOneMegatile(mw *Model, l *layout.Layout, t megatile, spec Me
 			continue
 		}
 		// Window-relative coordinates are produced with ONE float add per
-		// axis from the exact integer offset t.x−window.X0, matching the
-		// per-tile path (detect.go) to the bit. Translating the
-		// chip-absolute clipNM by −window.X0 instead would round twice
+		// axis from the exact integer offset t.x−window.X0. Translating
+		// the chip-absolute clipNM by −window.X0 instead would round twice
 		// ((clip+t.x)+(−window.X0) vs clip+(t.x−window.X0)) and drift an
-		// ulp apart from the per-tile scan on odd-origin windows.
+		// ulp apart from a plain single-raster Detect on odd-origin windows
+		// (TestMegatileDegenerateWindowsMatchPerTile).
 		clipWin := scaled.Translate(float64(t.x-window.X0), float64(t.y-window.Y0))
 		clips = append(clips, ScoredClip{Clip: clipWin, Score: d.Score})
 	}
@@ -258,58 +255,75 @@ func (m *Model) mergeMegatiles(perTile [][]ScoredClip) []Detection {
 	return out
 }
 
-// scanMegatiles is the shared full-scan core behind DetectLayoutMegatile
-// and ScanLayoutMegatile, filling res in place. retain keeps the per-tile
-// state (and always computes the weights version) so the result can seed
-// an incremental rescan; the plain detect path skips both, keeping its
-// steady-state allocation profile.
-func (m *Model) scanMegatiles(res *ScanResult, l *layout.Layout, window layout.Rect, factor int, retain bool) {
+// scanMegatiles is the one megatile scan core: DetectLayoutMegatile,
+// ScanLayoutMegatile and RescanLayoutMegatile all run through it. A cold
+// scan is a rescan in which every megatile is dirty: with prev == nil
+// every megatile is rasterized and detected (through the cache when one
+// is attached); with prev, a megatile whose raster footprint — halo bands
+// included, see tileRect — overlaps no dirty rect reuses prev's retained
+// clips instead. Either way every megatile's clips enter the same
+// row-major merge, which is what makes cold, cached and incremental scans
+// bit-identical. version is the weights version the scan runs under; it
+// keys the cache and is recorded for a later rescan.
+func (m *Model) scanMegatiles(l *layout.Layout, window layout.Rect, factor int, version [32]byte, prev *ScanResult, dirty []layout.Rect) *ScanResult {
 	c := m.Config
 	window = window.Canon()
 	spec := c.Megatile(megatileFactorCap(c, window, factor))
-	xs, ys, xb, yb, tiles := megatileGrid(spec, window)
+	xb, yb, tiles := megatileGrid(spec, window)
 
-	var version [32]byte
-	useCache := m.cache != nil
-	if useCache || retain {
-		version = m.WeightsVersion()
+	res := &ScanResult{
+		window:  window,
+		spec:    spec,
+		version: version,
+		perTile: make([][]ScoredClip, len(tiles)),
 	}
+	dirtyIdx := make([]int, 0, len(tiles))
+	for i, t := range tiles {
+		if prev != nil && !layout.AnyDirty(dirty, t.tileRect(spec)) {
+			res.perTile[i] = prev.perTile[i]
+		} else {
+			dirtyIdx = append(dirtyIdx, i)
+		}
+	}
+	res.TilesScanned = len(dirtyIdx)
+	res.TilesReused = len(tiles) - len(dirtyIdx)
 
 	tr := m.trace
 	var scanSpan *telemetry.TraceSpan
 	if tr != nil {
-		scanSpan = tr.StartSpan(m.tspan, "scan")
-		scanSpan.SetAttr("factor", int64(spec.Factor))
-		scanSpan.SetAttr("megatiles", int64(len(tiles)))
-		prev := m.tspan
+		if prev == nil {
+			scanSpan = tr.StartSpan(m.tspan, "scan")
+			scanSpan.SetAttr("factor", int64(spec.Factor))
+			scanSpan.SetAttr("megatiles", int64(len(tiles)))
+		} else {
+			scanSpan = tr.StartSpan(m.tspan, "rescan")
+			scanSpan.SetAttr("factor", int64(spec.Factor))
+			scanSpan.SetAttr("megatiles_dirty", int64(res.TilesScanned))
+			scanSpan.SetAttr("megatiles_reused", int64(res.TilesReused))
+		}
+		prevSpan := m.tspan
 		m.tspan = scanSpan
 		defer func() {
-			m.tspan = prev
+			m.tspan = prevSpan
 			tr.EndSpan(scanSpan)
 		}()
 	}
 
-	perTile := make([][]ScoredClip, len(tiles))
-	m.scanReplicated(len(tiles), func(mw *Model, w, i int) {
-		wt := beginWorkTrace(tr, scanSpan, mw, "megatile", w)
-		perTile[i] = m.scanOneMegatile(mw, l, tiles[i], spec, window, xb, yb, version, useCache, wt.span)
+	useCache := m.cache != nil
+	m.scanReplicated(len(dirtyIdx), func(mw *Model, w, j int) {
+		i := dirtyIdx[j]
+		wt := beginWorkTrace(tr, scanSpan, mw, w)
+		res.perTile[i] = m.scanOneMegatile(mw, l, tiles[i], spec, window, xb, yb, version, useCache, wt.span)
 		wt.end(tr)
 	})
 
-	res.Detections = m.mergeMegatiles(perTile)
-	res.TilesScanned = len(tiles)
-	res.TilesReused = 0
-	res.window = window
-	res.spec = spec
-	res.version = version
-	if retain {
-		res.xs, res.ys = xs, ys
-		res.perTile = perTile
-	}
+	res.Detections = m.mergeMegatiles(res.perTile)
 	if ins := m.ins; ins != nil {
-		ins.MegatilesScanned.Add(int64(len(tiles)))
+		ins.MegatilesScanned.Add(int64(res.TilesScanned))
+		ins.MegatilesReused.Add(int64(res.TilesReused))
 		ins.WorkspaceBytes.Set(int64(m.TotalWorkspaceFootprint()) * 4)
 	}
+	return res
 }
 
 // DetectLayoutMegatile scans an arbitrarily large layout window in
@@ -322,40 +336,41 @@ func (m *Model) scanMegatiles(res *ScanResult, l *layout.Layout, window layout.R
 // h-NMS. Detections are returned in nanometre coordinates relative to the
 // window origin.
 //
-// Megatiles — not tiles — are the unit of work for the parallel scan:
-// each of up to parallel.Workers() goroutines drives its own model
-// replica whose workspace grows to the megatile shape. Per-megatile
-// results land in a slice indexed by megatile and are concatenated in
-// row-major order before the final h-NMS, so the output is bit-identical
-// to a serial scan for every worker count.
+// Megatiles are the unit of work for the parallel scan: each of up to
+// parallel.Workers() goroutines drives its own model replica whose
+// workspace grows to the megatile shape. Per-megatile results land in a
+// slice indexed by megatile and are concatenated in row-major order
+// before the final h-NMS, so the output is bit-identical to a serial scan
+// for every worker count.
 //
 // With a cache attached (SetScanCache) each megatile's forward pass is
 // looked up by raster content first; the merge is unchanged, so cached
 // and cold scans are bit-identical (pinned by the differential suite in
-// cache_diff_test.go).
+// cache_diff_test.go). The weights are hashed for the cache key only
+// when a cache is attached.
 //
 // factor < 1 requests 1; factors larger than the window needs are clamped
 // (so DetectLayoutMegatile on a sub-region window degrades gracefully to
-// the per-region scan). Interior detections match the per-tile
-// DetectLayout up to border effects attenuated over the halo; seams of
-// the per-tile grid do not exist inside a megatile at all — the paper's
-// region-over-clip argument applied one level up.
+// one region-sized pass). Factor 1 scans the window region by region,
+// adjacent regions overlapping by two halos; at larger factors the seams
+// between those regions do not exist inside a megatile at all — the
+// paper's region-over-clip argument applied one level up.
 func (m *Model) DetectLayoutMegatile(l *layout.Layout, window layout.Rect, factor int) []Detection {
-	var res ScanResult
-	m.scanMegatiles(&res, l, window, factor, false)
-	return res.Detections
+	var version [32]byte
+	if m.cache != nil {
+		version = m.WeightsVersion()
+	}
+	return m.scanMegatiles(l, window, factor, version, nil, nil).Detections
 }
 
 // ScanLayoutMegatile is DetectLayoutMegatile returning the full scan
-// state: identical detections, plus the per-megatile results and scan
-// geometry an incremental rescan needs. Callers that re-scan evolving
-// layouts (the serving daemon's /detect?since= path, DFM loops) keep the
-// ScanResult and feed it to RescanLayoutMegatile with the next revision's
-// dirty rects.
+// state: identical detections, plus the per-megatile results, scan
+// geometry and weights version an incremental rescan needs. Callers that
+// re-scan evolving layouts (the serving daemon's /detect?since= path, DFM
+// loops) keep the ScanResult and feed it to RescanLayoutMegatile with the
+// next revision's dirty rects.
 func (m *Model) ScanLayoutMegatile(l *layout.Layout, window layout.Rect, factor int) *ScanResult {
-	res := &ScanResult{}
-	m.scanMegatiles(res, l, window, factor, true)
-	return res
+	return m.scanMegatiles(l, window, factor, m.WeightsVersion(), nil, nil)
 }
 
 // RescanLayoutMegatile re-scans a layout after an edit, reusing every
@@ -376,89 +391,53 @@ func (m *Model) ScanLayoutMegatile(l *layout.Layout, window layout.Rect, factor 
 // The weights version is re-hashed on every rescan: if the model was
 // re-trained or re-loaded since prev, nothing is reusable and the call
 // degrades to a full scan. prev must come from ScanLayoutMegatile or
-// RescanLayoutMegatile (detect-only results retain no per-tile state).
+// RescanLayoutMegatile.
 func (m *Model) RescanLayoutMegatile(prev *ScanResult, l *layout.Layout, dirty []layout.Rect) *ScanResult {
 	if prev == nil || prev.perTile == nil {
 		panic("hsd: RescanLayoutMegatile needs a ScanResult from ScanLayoutMegatile")
 	}
+	window, factor := prev.window, prev.spec.Factor
 	version := m.WeightsVersion()
 	if version != prev.version {
-		return m.ScanLayoutMegatile(l, prev.window, prev.spec.Factor)
+		prev = nil // new weights: every megatile is dirty
 	}
-	spec, window := prev.spec, prev.window
-	_, _, xb, yb, tiles := megatileGrid(spec, window)
-
-	res := &ScanResult{
-		window:  window,
-		spec:    spec,
-		xs:      prev.xs,
-		ys:      prev.ys,
-		version: version,
-		perTile: make([][]ScoredClip, len(tiles)),
-	}
-	dirtyIdx := make([]int, 0, len(tiles))
-	for i, t := range tiles {
-		if layout.AnyDirty(dirty, t.tileRect(spec)) {
-			dirtyIdx = append(dirtyIdx, i)
-		} else {
-			res.perTile[i] = prev.perTile[i]
-		}
-	}
-	useCache := m.cache != nil
-	tr := m.trace
-	var scanSpan *telemetry.TraceSpan
-	if tr != nil {
-		scanSpan = tr.StartSpan(m.tspan, "rescan")
-		scanSpan.SetAttr("factor", int64(spec.Factor))
-		scanSpan.SetAttr("megatiles_dirty", int64(len(dirtyIdx)))
-		scanSpan.SetAttr("megatiles_reused", int64(len(tiles)-len(dirtyIdx)))
-		prev := m.tspan
-		m.tspan = scanSpan
-		defer func() {
-			m.tspan = prev
-			tr.EndSpan(scanSpan)
-		}()
-	}
-	m.scanReplicated(len(dirtyIdx), func(mw *Model, w, j int) {
-		i := dirtyIdx[j]
-		wt := beginWorkTrace(tr, scanSpan, mw, "megatile", w)
-		res.perTile[i] = m.scanOneMegatile(mw, l, tiles[i], spec, window, xb, yb, version, useCache, wt.span)
-		wt.end(tr)
-	})
-
-	res.Detections = m.mergeMegatiles(res.perTile)
-	res.TilesScanned = len(dirtyIdx)
-	res.TilesReused = len(tiles) - len(dirtyIdx)
-	if ins := m.ins; ins != nil {
-		ins.MegatilesScanned.Add(int64(len(dirtyIdx)))
-		ins.MegatilesReused.Add(int64(res.TilesReused))
-		ins.WorkspaceBytes.Set(int64(m.TotalWorkspaceFootprint()) * 4)
-	}
-	return res
+	return m.scanMegatiles(l, window, factor, version, prev, dirty)
 }
 
 // AutoMegatileFactor picks the largest megatile factor whose predicted
 // inference workspace fits budgetBytes, capped by what the window needs.
-// It measures the factor-1 footprint with one warm-up pass on an empty
-// region (activation memory is linear in raster area, so factor f costs
-// ≈ f² of that), which also leaves the model's workspace and anchor cache
-// warm for the scan itself.
+// Activation memory is linear in raster area, so factor f costs ≈ f² of
+// one region's footprint (regionWorkspaceBytes). The answer depends only
+// on the configuration, the window and the budget — never on what the
+// model scanned before.
 func (m *Model) AutoMegatileFactor(window layout.Rect, budgetBytes int64) int {
-	c := m.Config
-	window = window.Canon()
-	x := tensor.New(1, InputChannels, c.InputSize, c.InputSize)
-	for i := c.InputSize * c.InputSize; i < 2*c.InputSize*c.InputSize; i++ {
-		x.Data()[i] = 1 // all space, matching an empty region's raster
-	}
-	m.Detect(x)
-	perRegion := int64(m.WorkspaceFootprint()) * 4 // float32 bytes
-	if perRegion <= 0 {
-		return 1
-	}
+	perRegion := m.regionWorkspaceBytes()
 	factor := 1
-	fit := megatileFactorCap(c, window, 1<<20)
+	fit := megatileFactorCap(m.Config, window.Canon(), 1<<20)
 	for factor < fit && perRegion*int64(factor+1)*int64(factor+1) <= budgetBytes {
 		factor++
 	}
 	return factor
+}
+
+// regionWorkspaceBytes is the workspace one nominal region's Detect
+// draws, measured once per model by a pass over an empty region on a
+// fresh arena. The model's own arena is set aside because it keeps every
+// buffer of earlier, larger passes; its instruments and trace are set
+// aside because the probe is not a detection.
+func (m *Model) regionWorkspaceBytes() int64 {
+	if m.regionBytes > 0 {
+		return m.regionBytes
+	}
+	c := m.Config
+	x := tensor.New(1, InputChannels, c.InputSize, c.InputSize)
+	for i := c.InputSize * c.InputSize; i < 2*c.InputSize*c.InputSize; i++ {
+		x.Data()[i] = 1 // all space, matching an empty region's raster
+	}
+	ws, ins, tr := m.ws, m.ins, m.trace
+	defer func() { m.ws, m.ins, m.trace = ws, ins, tr }()
+	m.ws, m.ins, m.trace = tensor.NewWorkspace(), nil, nil
+	m.Detect(x)
+	m.regionBytes = int64(m.ws.Footprint()) * 4 // float32 bytes
+	return m.regionBytes
 }

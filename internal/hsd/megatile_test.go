@@ -15,8 +15,8 @@ import (
 // The raster-space syntheticSample of train_test.go cannot exercise the
 // scan paths, which rasterize layouts themselves. These helpers plant a
 // hotspot signature as axis-aligned metal on the nanometre grid, so one
-// big layout can be scanned per-tile and per-megatile and the planted
-// ground truth compared across both.
+// big layout can be scanned at several megatile factors and the planted
+// ground truth compared across them.
 
 // plantBlob adds an 11×11-pixel solid metal square centred at (cxNM,
 // cyNM) — the layout-space hotspot signature. The square is aligned to
@@ -41,8 +41,8 @@ func addStripes(l *layout.Layout, c Config) {
 // at an arbitrary raster size: a px×px layout with background stripes
 // and nHot planted blobs, rasterized through the production
 // MakeSampleSized path. Mixing sizes across a training set is what
-// teaches the model both the per-tile and the megatile raster context
-// (DESIGN.md §11).
+// teaches the model both the single-region and the megatile raster
+// context (DESIGN.md §11).
 func synthLayoutSampleSized(rng *rand.Rand, c Config, px, nHot int) Sample {
 	p := int(c.PitchNM)
 	l := layout.New(layout.R(0, 0, px*p, px*p))
@@ -195,14 +195,14 @@ func megatileOracle(m *Model, l *layout.Layout) oracleScan {
 // workspace reuse across megatiles, window extraction and coordinate
 // translation — must reproduce the independent oracle bit-exactly
 // (tolerance zero), for untrained weights at a permissive threshold so
-// detections land everywhere, interiors included. Equivalence against
-// the per-tile scan is exact only in the degenerate one-tile geometry
-// (TestMegatileDegenerateWindowsMatchPerTile); at factor ≥ 2 the two
-// paths compute interior clips from rasters with different border
-// distances, which perturbs features over the network's receptive field
-// (the bit-identity caveat of DESIGN.md §11), so cross-path agreement is
-// a property of the trained model, not of the scan machinery pinned
-// here.
+// detections land everywhere, interiors included. Equivalence across
+// factors is exact only in the degenerate one-region geometry
+// (TestMegatileDegenerateWindowsMatchPerTile); at factor ≥ 2 interior
+// clips are computed from rasters with different border distances than
+// at factor 1, which perturbs features over the network's receptive
+// field (the bit-identity caveat of DESIGN.md §11), so cross-factor
+// agreement is a property of the trained model, not of the scan
+// machinery pinned here.
 func TestMegatileInteriorEquivalence(t *testing.T) {
 	c := TinyConfig()
 	// Untrained refine rejects nearly everything; CPN-only scoring keeps
@@ -353,9 +353,11 @@ func TestMegatileSeamHotspotReportedOnce(t *testing.T) {
 
 // TestMegatileDegenerateWindowsMatchPerTile pins the degenerate scan
 // geometries bit-exactly: for a window of at most one region the megatile
-// scan collapses to the per-tile scan — same single tile, same raster,
-// no ownership filtering — so the outputs must be identical floats, for
-// any requested factor (the factor cap clamps oversized requests).
+// scan collapses to one region-sized pass — a single tile rasterized at
+// the window origin, no ownership filtering — so it must equal an
+// independent reference to the float: Detect on that region's raster,
+// scaled to nanometres and merged with h-NMS. This holds for any
+// requested factor (the factor cap clamps oversized requests).
 func TestMegatileDegenerateWindowsMatchPerTile(t *testing.T) {
 	m := parityModel(t)
 	c := m.Config
@@ -372,7 +374,15 @@ func TestMegatileDegenerateWindowsMatchPerTile(t *testing.T) {
 		layout.R(100, 140, 100+regionNM/2, 140+regionNM/2), // smaller than one region, odd origin
 	}
 	for _, w := range windows {
-		want := m.DetectLayout(l, w)
+		sub := l.Window(layout.R(w.X0, w.Y0, w.X0+regionNM, w.Y0+regionNM))
+		var clips []ScoredClip
+		for _, d := range m.Detect(MakeSample(sub, nil, c).Raster) {
+			clips = append(clips, ScoredClip{Clip: d.Clip.Scale(c.PitchNM), Score: d.Score})
+		}
+		var want []Detection
+		for _, s := range m.nms(clips) {
+			want = append(want, Detection{Clip: s.Clip, Score: s.Score})
+		}
 		for _, factor := range []int{1, 4} {
 			got := m.DetectLayoutMegatile(l, w, factor)
 			assertSameDetections(t, "degenerate megatile window", want, got)
@@ -400,8 +410,7 @@ func TestMegatileParityAcrossWorkerCounts(t *testing.T) {
 // TestMegatileRasterizesWindowOnce is the redundant-raster regression
 // guard: the megatile scan rasterizes each layout window exactly once, so
 // its total rasterized pixel count is the window area plus only the seam
-// overlap strips — strictly less than the per-tile scan, which
-// re-rasterizes a one-clip band around every tile.
+// overlap strips.
 func TestMegatileRasterizesWindowOnce(t *testing.T) {
 	m := parityModel(t)
 	c := m.Config
@@ -415,18 +424,21 @@ func TestMegatileRasterizesWindowOnce(t *testing.T) {
 	detectAtWorkers(1, func() struct{} { m.DetectLayoutMegatile(l, l.Bounds, 2); return struct{}{} })
 	megaPx := layout.RasterizedPixels()
 
-	layout.ResetRasterizedPixels()
-	detectAtWorkers(1, func() struct{} { m.DetectLayout(l, l.Bounds); return struct{}{} })
-	perTilePx := layout.RasterizedPixels()
-
 	side := int64(W/p + spec.OverlapNM/p) // window side + one seam overlap per axis
 	if limit := side * side; megaPx > limit {
 		t.Errorf("megatile scan rasterized %d px, want ≤ window + seam overlap = %d", megaPx, limit)
 	}
-	if megaPx >= perTilePx {
-		t.Errorf("megatile scan rasterized %d px, not fewer than per-tile scan's %d", megaPx, perTilePx)
-	}
-	t.Logf("window %d px², megatile %d px, per-tile %d px", (W/p)*(W/p), megaPx, perTilePx)
+	t.Logf("window %d px², megatile %d px", (W/p)*(W/p), megaPx)
+}
+
+// emptyRegionBytes is the workspace, in bytes, that one Detect over an
+// empty region draws on a fresh model: the per-region cost
+// AutoMegatileFactor budgets with.
+func emptyRegionBytes(t *testing.T) int64 {
+	m := parityModel(t)
+	c := m.Config
+	m.Detect(RegionRaster(layout.New(layout.R(0, 0, c.RegionNM(), c.RegionNM())), c, c.InputSize))
+	return int64(m.WorkspaceFootprint()) * 4
 }
 
 // TestAutoMegatileFactor pins the budget policy: a generous budget picks
@@ -439,7 +451,7 @@ func TestAutoMegatileFactor(t *testing.T) {
 	if f := m.AutoMegatileFactor(window, 1); f != 1 {
 		t.Errorf("zero-budget factor = %d, want 1", f)
 	}
-	perRegion := int64(m.WorkspaceFootprint()) * 4
+	perRegion := emptyRegionBytes(t)
 	budget := perRegion * 20 // room for 4×4 but not 5×5
 	f := m.AutoMegatileFactor(window, budget)
 	if f < 2 {
@@ -453,6 +465,33 @@ func TestAutoMegatileFactor(t *testing.T) {
 	if f := m.AutoMegatileFactor(small, 1<<40); f != 1 {
 		t.Errorf("single-region window factor = %d, want 1", f)
 	}
+}
+
+// TestAutoMegatileFactorIgnoresScanHistory pins that the factor depends
+// only on configuration, window and budget: a scan at the auto factor
+// grows the model's workspace to megatile size, and the next request for
+// the same window must still get the same factor — and so the same
+// detections. The grown arena must not enter the sizing.
+func TestAutoMegatileFactorIgnoresScanHistory(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+
+	m := parityModel(t)
+	c := m.Config
+	l := layout.New(layout.R(0, 0, 8*c.RegionNM(), 8*c.RegionNM()))
+	addStripes(l, c)
+	budget := emptyRegionBytes(t) * 20
+
+	first := m.AutoMegatileFactor(l.Bounds, budget)
+	if first < 2 {
+		t.Fatalf("factor %d under a 20-region budget, want ≥ 2", first)
+	}
+	want := m.DetectLayoutMegatile(l, l.Bounds, first)
+	again := m.AutoMegatileFactor(l.Bounds, budget)
+	if again != first {
+		t.Fatalf("auto factor %d after a factor-%d scan, want %d", again, first, first)
+	}
+	assertSameDetections(t, "scan at the repeated auto factor", want, m.DetectLayoutMegatile(l, l.Bounds, again))
 }
 
 // TestTrimWorkspaceAfterMegatile exercises the workspace retention

@@ -68,7 +68,7 @@ type Model struct {
 	// path needs is drawn from this arena and recycled by the Reset at
 	// the top of each Detect call, so steady-state inference allocates no
 	// tensor memory. Clone() builds a fresh Model and therefore a fresh
-	// workspace, which is what keeps DetectLayout's per-replica tile scan
+	// workspace, which is what keeps the per-replica megatile scan
 	// race-free.
 	ws *tensor.Workspace
 	// scratch holds the reusable non-tensor buffers of the detection
@@ -97,11 +97,11 @@ type Model struct {
 	// scanWorkers caps the goroutines (and replicas) one layout scan may
 	// use; 0 means parallel.Workers(). See SetScanWorkers.
 	scanWorkers int
-	// replicas are cached scan clones, reused across DetectLayout and
-	// DetectLayoutMegatile calls so a long-lived model (a serving worker,
-	// a CLI scanning many windows) does not reconstruct the network — or
-	// regrow per-clone workspaces — on every call. Parameters are synced
-	// from m at the start of each scan; see scanReplicated.
+	// replicas are cached scan clones, reused across layout scans so a
+	// long-lived model (a serving worker, a CLI scanning many windows)
+	// does not reconstruct the network — or regrow per-clone workspaces —
+	// on every call. Parameters are synced from m at the start of each
+	// scan; see scanReplicated.
 	replicas []*Model
 
 	// trace/tspan are the active request trace and the span new stage
@@ -117,6 +117,8 @@ type Model struct {
 	// lazily built the first time this model (as a scan worker) runs a
 	// traced work item and reset before each one.
 	profScope *tensor.ProfileScope
+	// regionBytes caches regionWorkspaceBytes (0 = not yet measured).
+	regionBytes int64
 }
 
 // NewModel builds and initializes an R-HSD network for the configuration.
@@ -299,12 +301,12 @@ func (m *Model) TrimWorkspace(maxFloats int) {
 }
 
 // SetScanWorkers caps the goroutines — and therefore the cached model
-// replicas — one DetectLayout/DetectLayoutMegatile call may use. 0
-// restores the default, parallel.Workers(). 1 makes scans run serially on
-// m itself with no replicas at all: the configuration a serving pool uses
-// so cross-request parallelism comes from pooled clones rather than
-// nested per-request fan-out. Shrinking the cap releases the now-excess
-// cached replicas.
+// replicas — one layout scan may use. 0 restores the default,
+// parallel.Workers(). 1 makes scans run serially on m itself with no
+// replicas at all: the configuration a serving pool uses so
+// cross-request parallelism comes from pooled clones rather than nested
+// per-request fan-out. Shrinking the cap releases the now-excess cached
+// replicas.
 func (m *Model) SetScanWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -381,8 +383,8 @@ func (m *Model) Params() []*nn.Param {
 // Clone returns an independent replica: a freshly constructed network of
 // the same configuration with every parameter copied bit-for-bit. Layers
 // cache forward activations, so a single Model is not safe for concurrent
-// use — replicas are how the region-parallel scan in DetectLayout runs
-// tiles on multiple goroutines while producing identical outputs.
+// use — replicas are how the megatile scan runs megatiles on multiple
+// goroutines while producing identical outputs.
 func (m *Model) Clone() (*Model, error) {
 	r, err := NewModel(m.Config)
 	if err != nil {

@@ -72,27 +72,27 @@ func TestDetectLayoutParityAcrossWorkerCounts(t *testing.T) {
 	m := parityModel(t)
 	c := m.Config
 	regionNM := c.RegionNM()
-	// 2×2 regions plus a ragged right/bottom margin so the tile grid has
-	// clamped odd-sized final tiles.
+	// 2×2 regions plus a ragged right/bottom margin so the factor-1 grid
+	// has clamped final megatiles.
 	big := layout.New(layout.R(0, 0, 2*regionNM+regionNM/3, 2*regionNM+regionNM/5))
 	for x := 40; x < big.Bounds.X1-80; x += 150 {
 		big.Add(layout.R(x, 30, x+70, big.Bounds.Y1-50))
 	}
-	serial := detectAtWorkers(1, func() []Detection { return m.DetectLayout(big, big.Bounds) })
-	par := detectAtWorkers(8, func() []Detection { return m.DetectLayout(big, big.Bounds) })
-	assertSameDetections(t, "DetectLayout", serial, par)
+	serial := detectAtWorkers(1, func() []Detection { return m.DetectLayoutMegatile(big, big.Bounds, 1) })
+	par := detectAtWorkers(8, func() []Detection { return m.DetectLayoutMegatile(big, big.Bounds, 1) })
+	assertSameDetections(t, "factor-1 scan", serial, par)
 }
 
 func TestDetectLayoutParitySingleTile(t *testing.T) {
-	// Degenerate scan: window smaller than one region → exactly one tile,
-	// exercising the workers>tiles clamp.
+	// Degenerate scan: window smaller than one region → exactly one
+	// megatile, exercising the workers>megatiles clamp.
 	m := parityModel(t)
 	c := m.Config
 	l := layout.New(layout.R(0, 0, c.RegionNM()/2, c.RegionNM()/2))
 	l.Add(layout.R(20, 20, 90, c.RegionNM()/2-20))
-	serial := detectAtWorkers(1, func() []Detection { return m.DetectLayout(l, l.Bounds) })
-	par := detectAtWorkers(8, func() []Detection { return m.DetectLayout(l, l.Bounds) })
-	assertSameDetections(t, "DetectLayout single tile", serial, par)
+	serial := detectAtWorkers(1, func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) })
+	par := detectAtWorkers(8, func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) })
+	assertSameDetections(t, "factor-1 scan, one megatile", serial, par)
 }
 
 func TestCloneProducesIdenticalDetections(t *testing.T) {

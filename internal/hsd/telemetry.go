@@ -47,14 +47,13 @@ var StageBuckets = telemetry.ExpBuckets(0.0001, 2.5, 14)
 // the detection hot path is allocation-free (the AllocsPerRun guards run
 // with instruments attached).
 type Instruments struct {
-	// DetectPasses counts forward passes through Detect — one per region
-	// in a per-tile scan, one per megatile in a megatile scan.
+	// DetectPasses counts forward passes through Detect — one per
+	// megatile in a layout scan, one per region Detect call.
 	DetectPasses *telemetry.Counter
-	// TilesScanned / MegatilesScanned count scan work items by kind
-	// (rhsd_scan_tiles_total{kind="tile"|"megatile"}); MegatilesReused
-	// counts megatiles an incremental rescan served from retained results
+	// MegatilesScanned counts megatiles a layout scan rasterized
+	// (rhsd_scan_tiles_total{kind="megatile"}); MegatilesReused counts
+	// megatiles an incremental rescan served from retained results
 	// without re-rasterizing (kind="megatile_reused").
-	TilesScanned     *telemetry.Counter
 	MegatilesScanned *telemetry.Counter
 	MegatilesReused  *telemetry.Counter
 	// ProposalsKept / ProposalsSuppressed count CPN proposals surviving
@@ -78,9 +77,7 @@ type Instruments struct {
 func NewInstruments(reg *telemetry.Registry) *Instruments {
 	ins := &Instruments{
 		DetectPasses: reg.NewCounter("rhsd_detect_passes_total",
-			"Forward detection passes (one per tile or megatile).", ""),
-		TilesScanned: reg.NewCounter("rhsd_scan_tiles_total",
-			"Scan work items by kind.", `kind="tile"`),
+			"Forward detection passes (one per megatile or region).", ""),
 		MegatilesScanned: reg.NewCounter("rhsd_scan_tiles_total",
 			"Scan work items by kind.", `kind="megatile"`),
 		MegatilesReused: reg.NewCounter("rhsd_scan_tiles_total",
@@ -108,8 +105,8 @@ func (ins *Instruments) StageHistogram(st Stage) *telemetry.Histogram {
 
 // SetInstruments attaches (or, with nil, detaches) a telemetry bundle.
 // The bundle is propagated to cached scan replicas and inherited by
-// future Clone calls, so pooled serving workers and tile-scan replicas
-// all aggregate into the same series.
+// future Clone calls, so pooled serving workers and scan replicas all
+// aggregate into the same series.
 func (m *Model) SetInstruments(ins *Instruments) {
 	m.ins = ins
 	for _, r := range m.replicas {

@@ -69,7 +69,7 @@ func TestDetectRecordsStageTelemetry(t *testing.T) {
 	}
 }
 
-// TestLayoutScanTelemetry checks the scan-level series: tile/megatile
+// TestLayoutScanTelemetry checks the scan-level series: megatile
 // work-item counters and the workspace gauge, and that replicas created
 // by the parallel scan aggregate into the parent's instruments rather
 // than dropping observations.
@@ -97,9 +97,9 @@ func TestLayoutScanTelemetry(t *testing.T) {
 		t.Errorf("workspace gauge = %d after a scan", ws)
 	}
 
-	m.DetectLayout(l, l.Bounds)
-	if got := ins.TilesScanned.Value(); got < 4 {
-		t.Errorf("tiles scanned = %d, want >= 4 for a 2×2-region layout", got)
+	m.DetectLayoutMegatile(l, l.Bounds, 1)
+	if got := ins.MegatilesScanned.Value() - mt; got < 4 {
+		t.Errorf("factor-1 scan counted %d megatiles, want >= 4 for a 2×2-region layout", got)
 	}
 
 	var b strings.Builder

@@ -7,10 +7,10 @@ import (
 
 // Request-trace glue for the detection pipeline: SetTrace attaches a
 // flight-recorder trace to a model for the duration of one request, and
-// workTrace hands worker replicas a per-megatile (or per-tile) span for
-// exactly one work item. With no trace attached every hook below is a
-// nil check, preserving the zero-allocation steady state (pinned by the
-// alloc guards and telemetry's TestNilTraceIsNoOp).
+// workTrace hands worker replicas a per-megatile span for exactly one
+// work item. With no trace attached every hook below is a nil check,
+// preserving the zero-allocation steady state (pinned by the alloc
+// guards and telemetry's TestNilTraceIsNoOp).
 
 // SetTrace attaches (or, with nil, detaches) the request trace: stage
 // spans opened by this model parent under parent, and layout scans add
@@ -46,18 +46,18 @@ type workTrace struct {
 	scope     *tensor.ProfileScope
 }
 
-// beginWorkTrace opens a span named name under parent for one work item
+// beginWorkTrace opens a megatile span under parent for one work item
 // and prepares replica mw to attribute to it: mw's stage spans parent
 // under the new span, and mw's workspace gets a reset profile scope so
 // tensor stage time lands on this span. tr and parent are passed as
 // explicit values — not read from m — because the primary model is
 // itself one of the scan workers, and reading m's trace fields from
 // sibling goroutines would race with this function's restore writes.
-func beginWorkTrace(tr *telemetry.Trace, parent *telemetry.TraceSpan, mw *Model, name string, worker int) workTrace {
+func beginWorkTrace(tr *telemetry.Trace, parent *telemetry.TraceSpan, mw *Model, worker int) workTrace {
 	if tr == nil {
 		return workTrace{}
 	}
-	sp := tr.StartSpan(parent, name)
+	sp := tr.StartSpan(parent, "megatile")
 	wt := workTrace{
 		mw:        mw,
 		span:      sp,

@@ -130,50 +130,6 @@ func TestScanTraceTree(t *testing.T) {
 	}
 }
 
-// TestPerTileScanTrace covers the legacy per-tile path: tile spans with
-// positions under the scan span.
-func TestPerTileScanTrace(t *testing.T) {
-	c := TinyConfig()
-	c.UseRefine = false
-	c.ScoreThreshold = 0.45
-	m, err := NewModel(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regionNM := c.RegionNM()
-	l := layout.New(layout.R(0, 0, 2*regionNM, regionNM))
-	addStripes(l, c)
-
-	rec := telemetry.NewFlightRecorder(1)
-	tr := rec.StartTrace("detect", "tiles", "")
-	m.SetTrace(tr, tr.Root())
-	m.DetectLayout(l, l.Bounds)
-	m.SetTrace(nil, nil)
-	tr.Complete()
-
-	data, _ := rec.Trace("tiles")
-	if len(data.Root.Children) != 1 || data.Root.Children[0].Name != "scan" {
-		t.Fatalf("root children %+v, want one scan span", data.Root.Children)
-	}
-	scan := data.Root.Children[0]
-	var tiles []telemetry.SpanData
-	for _, c := range scan.Children {
-		if c.Name == "tile" {
-			tiles = append(tiles, c)
-		}
-	}
-	if want := attrMap(scan)["tiles"].Val; int64(len(tiles)) != want || want < 2 {
-		t.Fatalf("scan %+v with %d tile spans, want the advertised %d (>= 2)",
-			scan.Attrs, len(tiles), want)
-	}
-	for _, tile := range tiles {
-		a := attrMap(tile)
-		if _, ok := a["x_nm"]; !ok {
-			t.Fatalf("tile span lacks x_nm: %+v", tile.Attrs)
-		}
-	}
-}
-
 // TestProfileScopeParity pins the attribution contract of
 // tensor.ProfileScope: every instrumented site adds the identical
 // elapsed value to the global profile and to the active span's scope,

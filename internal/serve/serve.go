@@ -69,8 +69,8 @@ type Config struct {
 	// Limits bound the parsed layout (zero fields = layout.DefaultLimits).
 	Limits layout.Limits
 	// MegatileFactor selects the scan: 0 = auto-size from MegatileMemMiB
-	// per request window, N>0 = fixed N×N regions per pass, negative =
-	// legacy per-tile scan.
+	// per request window, N>0 = fixed N×N regions per pass. Negative
+	// values are rejected by New.
 	MegatileFactor int
 	// MegatileMemMiB is the per-clone workspace budget driving the auto
 	// factor (0 = 512).
@@ -308,8 +308,7 @@ type Server struct {
 	int8Armed        bool
 
 	// cache is the shared megatile result cache (nil = disabled); hist
-	// retains recent scan results for /detect?since= incremental rescans
-	// (nil when the scan path is per-tile).
+	// retains recent scan results for /detect?since= incremental rescans.
 	cache *hsd.DetCache
 	hist  *scanHistory
 
@@ -343,6 +342,9 @@ func New(m *hsd.Model, cfg Config) (*Server, error) {
 	if m == nil {
 		return nil, errors.New("serve: nil model")
 	}
+	if cfg.MegatileFactor < 0 {
+		return nil, fmt.Errorf("serve: megatile factor %d, want 0 (auto) or a positive factor", cfg.MegatileFactor)
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
@@ -351,6 +353,7 @@ func New(m *hsd.Model, cfg Config) (*Server, error) {
 		sem:     make(chan struct{}, cfg.Pool+cfg.QueueDepth),
 		reg:     cfg.Registry,
 		log:     cfg.Logger,
+		hist:    newScanHistory(scanHistoryDepth),
 		start:   time.Now(),
 	}
 	s.met = newServeMetrics(s.reg)
@@ -371,9 +374,6 @@ func New(m *hsd.Model, cfg Config) (*Server, error) {
 		s.cache = hsd.NewDetCache(int64(cfg.CacheMemMiB) << 20)
 		s.cache.RegisterMetrics(s.reg)
 		m.SetScanCache(s.cache)
-	}
-	if cfg.MegatileFactor >= 0 {
-		s.hist = newScanHistory(scanHistoryDepth)
 	}
 	// Arm and select the numeric path before cloning: clones inherit the
 	// calibration (plans are shared by reference) and the precision, so
@@ -492,9 +492,8 @@ type DetectionJSON struct {
 
 // DetectResponse is the /detect success payload. ScanID names this scan
 // for a follow-up incremental request (POST /detect?since=<scan_id> with
-// the edited layout); it is 0 when the scan path retains no history
-// (per-tile scans). TilesScanned/TilesReused report the megatile fates —
-// an incremental rescan of a lightly-edited layout reuses most tiles.
+// the edited layout). TilesScanned/TilesReused report the megatile fates
+// — an incremental rescan of a lightly-edited layout reuses most tiles.
 type DetectResponse struct {
 	Detections   []DetectionJSON `json:"detections"`
 	Count        int             `json:"count"`
@@ -631,9 +630,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		st.TracesRetained = len(s.rec.Traces())
 		st.TraceCapacity = s.rec.Cap()
 	}
-	if s.hist != nil {
-		st.ScanHistory = s.hist.list()
-	}
+	st.ScanHistory = s.hist.list()
 	s.mu.RLock()
 	st.Draining = s.closed
 	s.mu.RUnlock()
@@ -860,24 +857,21 @@ type scanOutcome struct {
 	incremental               bool
 }
 
-// scan runs the configured detection over the request layout's bounds.
-// It executes inside the guard boundary; panics become 500s.
+// scan runs the megatile scan over the request layout's bounds. It
+// executes inside the guard boundary; panics become 500s.
 //
-// On the megatile path the scan result is retained in the history ring
-// and its id returned, so a follow-up request can POST an edited layout
-// with ?since=<id>: the server diffs the stored layout against the new
-// one (layout.Diff) and re-scans only megatiles whose halo-inclusive
-// raster window a dirty rect touches. A since id that has aged out, or a
+// The scan result is retained in the history ring and its id returned,
+// so a follow-up request can POST an edited layout with ?since=<id>: the
+// server diffs the stored layout against the new one (layout.Diff) and
+// re-scans only megatiles whose halo-inclusive raster window a dirty
+// rect touches. A since id that has aged out, or a
 // stored scan whose window or weights no longer match, silently degrades
 // to a cold scan — incremental serving is an optimization, never a
 // correctness dependency (the hsd differential suite pins bit-identity).
 func (s *Server) scan(m *hsd.Model, l *layout.Layout, since int64, traceID string) scanOutcome {
-	if s.cfg.MegatileFactor < 0 {
-		return scanOutcome{dets: m.DetectLayout(l, l.Bounds)}
-	}
 	var res *hsd.ScanResult
 	incremental := false
-	if since > 0 && s.hist != nil {
+	if since > 0 {
 		if prev, ok := s.hist.get(since); ok && prev.res.Window() == l.Bounds.Canon() {
 			res = m.RescanLayoutMegatile(prev.res, l, layout.Diff(prev.l, l))
 			// A weight mismatch inside Rescan degrades to a full scan;

@@ -576,3 +576,16 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, data)
 	}
 }
+
+// TestNewRejectsNegativeMegatileFactor: every scan is a megatile scan, so
+// a negative factor is a configuration error rather than a scan mode.
+func TestNewRejectsNegativeMegatileFactor(t *testing.T) {
+	s, err := New(testModel(t), Config{Pool: 1, MegatileFactor: -1, IdleTrim: -1})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("New accepted MegatileFactor -1")
+	}
+	if !strings.Contains(err.Error(), "megatile factor -1") {
+		t.Fatalf("error %q does not name the factor", err)
+	}
+}

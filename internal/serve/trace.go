@@ -133,7 +133,7 @@ func (s *Server) finishTrace(tr *telemetry.Trace, out scanOutcome, err error, el
 }
 
 // logSlowScan reports a slow detection with the worst megatile chain:
-// the longest megatile/tile span under the scan span, its cache outcome
+// the longest megatile span under the scan span, its cache outcome
 // and worker, and the stage child that dominated it.
 func (s *Server) logSlowScan(snap telemetry.TraceData, elapsed time.Duration) {
 	args := []any{
@@ -163,15 +163,14 @@ func (s *Server) logSlowScan(snap telemetry.TraceData, elapsed time.Duration) {
 	s.log.Warn("slow scan", args...)
 }
 
-// worstWorkSpan finds the longest megatile/tile span anywhere in the
-// tree (they only occur under scan/rescan spans).
+// worstWorkSpan finds the longest megatile span anywhere in the tree
+// (they only occur under scan/rescan spans).
 func worstWorkSpan(sp telemetry.SpanData) (telemetry.SpanData, bool) {
 	var best telemetry.SpanData
 	found := false
 	var walk func(telemetry.SpanData)
 	walk = func(s telemetry.SpanData) {
-		if (s.Name == "megatile" || s.Name == "tile") &&
-			(!found || s.DurationNs > best.DurationNs) {
+		if s.Name == "megatile" && (!found || s.DurationNs > best.DurationNs) {
 			best, found = s, true
 		}
 		for _, c := range s.Children {
