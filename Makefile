@@ -1,18 +1,25 @@
 # Tier-1 verification and developer shortcuts. `make verify` is the
-# gate every PR must keep green: build, vet, formatting, full test
-# suite, the race detector (short mode) over the parallel compute paths
-# and the int8 accuracy gate. Performance is measured by the repository
-# benchmark under perfbench/ (perfbench/run.sh), not by make targets.
+# gate every PR must keep green: build, vet (also for arm64),
+# formatting, full test suite, the race detector (short mode) over the
+# parallel compute paths and the int8 accuracy gate. Performance is
+# measured by the repository benchmark under perfbench/
+# (perfbench/run.sh), not by make targets.
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race race-full verify perfbench-build serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix quant-gate bench bench-smoke
+.PHONY: build vet cross-vet fmt-check test race race-full verify perfbench-build serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix quant-gate bench bench-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Type-checks and vets the tree for arm64, so the files built only off
+# amd64 (the portable stubs beside each assembly kernel) compile too;
+# nothing else in verify builds them.
+cross-vet:
+	GOARCH=arm64 $(GO) vet ./...
 
 # Fails when gofmt would rewrite any Go file in the tree.
 fmt-check:
@@ -95,7 +102,7 @@ perfbench-build:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench build -o /dev/null .
 
-verify: build vet fmt-check perfbench-build test race serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix quant-gate
+verify: build vet cross-vet fmt-check perfbench-build test race serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix quant-gate
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

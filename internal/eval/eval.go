@@ -182,35 +182,85 @@ type Data struct {
 	// training layouts are merged together to train one model").
 	MergedTrain []*dataset.Region
 
-	// trained holds the R-HSD models trained on MergedTrain so far, one
-	// per configuration; see trainOurs.
+	// trained holds the detectors trained on MergedTrain so far, one per
+	// detector configuration; see sharedTrain.
 	trained []trainedModel
 }
 
 type trainedModel struct {
-	cfg hsd.Config
-	m   *hsd.Model
+	cfg any // hsd.Config, tcad.Config or ssdKey
+	m   any
 }
 
-// trainOurs returns TrainOurs(cfg, d.MergedTrain, nil), training only the
-// first time a configuration is asked for. Training is deterministic, so
-// the experiments of one run that all train the profile's configuration
-// — Table 1, the "Full" ablation variants, the extended table, the ROC
-// sweep, Figure 9 and the int8 gate — share one model and report exactly
-// what separate trainings would. Experiments that adjust the shared
-// model (a threshold, the precision) restore it before returning.
-func (d *Data) trainOurs(cfg hsd.Config) (*hsd.Model, error) {
-	for _, t := range d.trained {
-		if reflect.DeepEqual(t.cfg, cfg) {
-			return t.m, nil
+// sharedTrain returns the detector trained on d.MergedTrain for cfg,
+// calling train only the first time cfg is asked for, and tells progress
+// (may be nil) "training <what>" or, for a detector an earlier
+// experiment trained, "reusing <what>". Training is deterministic —
+// every detector draws from its config's seeded generator, and the
+// parallel kernels give the same bits at any worker count — so the
+// experiments of one run that train the same configuration (Table 1,
+// the "Full" ablation variants, the extended table, the ROC sweep,
+// Figure 9 and the int8 gate) share one detector and report exactly
+// what separate trainings would. Experiments that adjust a shared
+// detector (a threshold, a bias, the precision) restore it before
+// returning.
+func sharedTrain[M any](d *Data, cfg any, what string, progress func(string), train func() (M, error)) (M, error) {
+	say := func(verb string) {
+		if progress != nil {
+			progress(verb + " " + what)
 		}
 	}
-	m, err := TrainOurs(cfg, d.MergedTrain, nil)
+	for _, t := range d.trained {
+		if reflect.DeepEqual(t.cfg, cfg) {
+			say("reusing")
+			return t.m.(M), nil
+		}
+	}
+	say("training")
+	m, err := train()
 	if err != nil {
-		return nil, err
+		return m, err
 	}
 	d.trained = append(d.trained, trainedModel{cfg: cfg, m: m})
 	return m, nil
+}
+
+// trainOurs returns the R-HSD model TrainOurs(cfg, d.MergedTrain, nil)
+// trains, shared through sharedTrain; name labels its progress line.
+func (d *Data) trainOurs(cfg hsd.Config, name string, progress func(string)) (*hsd.Model, error) {
+	what := fmt.Sprintf("%s (%d steps)", name, cfg.TrainSteps)
+	return sharedTrain(d, cfg, what, progress, func() (*hsd.Model, error) {
+		return TrainOurs(cfg, d.MergedTrain, nil)
+	})
+}
+
+// trainTCAD returns the TCAD'18 detector for cfg trained on
+// d.MergedTrain, shared through sharedTrain.
+func (d *Data) trainTCAD(cfg tcad.Config, progress func(string)) *tcad.Detector {
+	td, _ := sharedTrain(d, cfg, DetTCAD, progress, func() (*tcad.Detector, error) {
+		td := tcad.New(cfg)
+		td.Train(d.MergedTrain)
+		return td, nil
+	})
+	return td
+}
+
+// ssdKey identifies a trained SSD detector: its training also depends
+// on the clip size its ground-truth boxes are drawn at.
+type ssdKey struct {
+	cfg    ssd.Config
+	clipNM float64
+}
+
+// trainSSD returns the SSD detector for cfg trained on d.MergedTrain at
+// clipNM, shared through sharedTrain.
+func (d *Data) trainSSD(cfg ssd.Config, clipNM float64, progress func(string)) *ssd.Detector {
+	sd, _ := sharedTrain(d, ssdKey{cfg, clipNM}, DetSSD, progress, func() (*ssd.Detector, error) {
+		sd := ssd.New(cfg)
+		sd.Train(d.MergedTrain, clipNM)
+		return sd, nil
+	})
+	return sd
 }
 
 // LoadData synthesizes and labels all benchmark cases.
@@ -287,20 +337,15 @@ func RunTable1(p Profile, data *Data, progress func(string)) (*metrics.Table, er
 	tbl := &metrics.Table{Detectors: []string{DetTCAD, DetFRCNN, DetSSD, DetOurs}}
 	clipNM := p.HSD.ClipNM()
 
-	say("training %s on %d merged regions", DetTCAD, len(data.MergedTrain))
-	td := tcad.New(p.TCAD)
-	td.Train(data.MergedTrain)
+	say("%d merged training regions", len(data.MergedTrain))
+	td := data.trainTCAD(p.TCAD, progress)
 
 	say("training %s", DetFRCNN)
 	fd := fasterrcnn.New(p.FRCNN)
 	fd.Train(data.MergedTrain, clipNM)
 
-	say("training %s", DetSSD)
-	sd := ssd.New(p.SSD)
-	sd.Train(data.MergedTrain, clipNM)
-
-	say("training %s (%d steps)", DetOurs, p.HSD.TrainSteps)
-	ours, err := data.trainOurs(p.HSD)
+	sd := data.trainSSD(p.SSD, clipNM, progress)
+	ours, err := data.trainOurs(p.HSD, DetOurs, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -384,10 +429,7 @@ func RunFigure10(p Profile, data *Data, progress func(string)) ([]AblationVarian
 func runVariants(variants []AblationVariant, data *Data, progress func(string)) ([]AblationVariant, error) {
 	for vi := range variants {
 		v := &variants[vi]
-		if progress != nil {
-			progress(fmt.Sprintf("training variant %q", v.Name))
-		}
-		m, err := data.trainOurs(v.Config)
+		m, err := data.trainOurs(v.Config, fmt.Sprintf("variant %q", v.Name), progress)
 		if err != nil {
 			return nil, err
 		}
@@ -420,12 +462,8 @@ func RunFigure9(p Profile, data *Data, outDir string, progress func(string)) err
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if progress != nil {
-		progress("training detectors for figure 9")
-	}
-	td := tcad.New(p.TCAD)
-	td.Train(data.MergedTrain)
-	ours, err := data.trainOurs(p.HSD)
+	td := data.trainTCAD(p.TCAD, progress)
+	ours, err := data.trainOurs(p.HSD, DetOurs, progress)
 	if err != nil {
 		return err
 	}

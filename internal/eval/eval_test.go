@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"rhsd/internal/baseline/ssd"
+	"rhsd/internal/baseline/tcad"
 	"rhsd/internal/hsd"
 )
 
@@ -81,16 +84,16 @@ func TestExperimentsShareOneTrainedModel(t *testing.T) {
 	}
 	p := SmokeProfile()
 	data := LoadData(p)
-	m, err := data.trainOurs(p.HSD)
+	m, err := data.trainOurs(p.HSD, DetOurs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := data.trainOurs(p.HSD); again != m {
+	if again, _ := data.trainOurs(p.HSD, DetOurs, nil); again != m {
 		t.Fatal("a second request for the same configuration trained a new model")
 	}
 	woRef := p.HSD
 	woRef.UseRefine = false
-	if other, _ := data.trainOurs(woRef); other == m {
+	if other, _ := data.trainOurs(woRef, DetOurs, nil); other == m {
 		t.Fatal("a different configuration got the shared model")
 	}
 	fresh, err := TrainOurs(p.HSD, data.MergedTrain, nil)
@@ -102,6 +105,52 @@ func TestExperimentsShareOneTrainedModel(t *testing.T) {
 		shared.Elapsed, separate.Elapsed = 0, 0
 		if shared != separate {
 			t.Fatalf("%s: shared model scores %+v, a separate training %+v", ds.Name, shared, separate)
+		}
+	}
+}
+
+// TestExperimentsShareTrainedBaselines extends the sharing to the
+// TCAD'18 and SSD baselines, which Table 1, the ROC sweep and Figure 9
+// train on the same merged regions: a second request hands back the
+// first detector and its progress line says "reusing", and since their
+// training is deterministic, a separately trained detector scores
+// identically.
+func TestExperimentsShareTrainedBaselines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training smoke test skipped in -short")
+	}
+	p := SmokeProfile()
+	data := LoadData(p)
+	clipNM := p.HSD.ClipNM()
+	var lines []string
+	progress := func(s string) { lines = append(lines, s) }
+	td := data.trainTCAD(p.TCAD, progress)
+	sd := data.trainSSD(p.SSD, clipNM, progress)
+	if data.trainTCAD(p.TCAD, progress) != td || data.trainSSD(p.SSD, clipNM, progress) != sd {
+		t.Fatal("a second request for a baseline trained a new detector")
+	}
+	if other := data.trainSSD(p.SSD, clipNM/2, nil); other == sd {
+		t.Fatal("an SSD at another clip size got the shared detector")
+	}
+	want := []string{"training " + DetTCAD, "training " + DetSSD, "reusing " + DetTCAD, "reusing " + DetSSD}
+	if fmt.Sprint(lines) != fmt.Sprint(want) {
+		t.Fatalf("progress lines %q, want %q", lines, want)
+	}
+
+	freshTD := tcad.New(p.TCAD)
+	freshTD.Train(data.MergedTrain)
+	freshSD := ssd.New(p.SSD)
+	freshSD.Train(data.MergedTrain, clipNM)
+	for _, ds := range data.Cases {
+		shared, separate := td.Evaluate(ds.Test), freshTD.Evaluate(ds.Test)
+		shared.Elapsed, separate.Elapsed = 0, 0
+		if shared != separate {
+			t.Fatalf("%s: shared TCAD'18 scores %+v, a separate training %+v", ds.Name, shared, separate)
+		}
+		shared, separate = sd.Evaluate(ds.Test, clipNM), freshSD.Evaluate(ds.Test, clipNM)
+		shared.Elapsed, separate.Elapsed = 0, 0
+		if shared != separate {
+			t.Fatalf("%s: shared SSD scores %+v, a separate training %+v", ds.Name, shared, separate)
 		}
 	}
 }

@@ -40,8 +40,7 @@ func RunExtendedTable1(p Profile, data *Data, progress func(string)) (*metrics.T
 	ab := adaboost.New(abCfg)
 	ab.Train(data.MergedTrain)
 
-	say("training " + DetOurs)
-	ours, err := data.trainOurs(p.HSD)
+	ours, err := data.trainOurs(p.HSD, DetOurs, progress)
 	if err != nil {
 		return nil, err
 	}

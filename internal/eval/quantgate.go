@@ -182,13 +182,7 @@ func RunQuantGate(p Profile, data *Data, b QuantGateBudget, progress func(string
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	say := func(format string, args ...any) {
-		if progress != nil {
-			progress(fmt.Sprintf(format, args...))
-		}
-	}
-	say("training R-HSD (%d steps)", p.HSD.TrainSteps)
-	m, err := data.trainOurs(p.HSD)
+	m, err := data.trainOurs(p.HSD, "R-HSD", progress)
 	if err != nil {
 		return nil, err
 	}

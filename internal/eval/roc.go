@@ -88,14 +88,9 @@ func RunROC(p Profile, data *Data, progress func(string)) ([]ROCResult, error) {
 	}
 	thresholds := metrics.DefaultThresholds(20)
 
-	say("training %s", DetTCAD)
-	td := tcad.New(p.TCAD)
-	td.Train(data.MergedTrain)
-	say("training %s", DetSSD)
-	sd := ssd.New(p.SSD)
-	sd.Train(data.MergedTrain, p.HSD.ClipNM())
-	say("training %s", DetOurs)
-	ours, err := data.trainOurs(p.HSD)
+	td := data.trainTCAD(p.TCAD, progress)
+	sd := data.trainSSD(p.SSD, p.HSD.ClipNM(), progress)
+	ours, err := data.trainOurs(p.HSD, DetOurs, progress)
 	if err != nil {
 		return nil, err
 	}

@@ -76,3 +76,48 @@ func TestMegatileDetectSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state megatile Detect allocated %.0f times per run, want ≤ %d", allocs, budget)
 	}
 }
+
+// TestDetectTwoWorkerAllocs guards the allocations of the multi-worker
+// Detect path, which the one-worker guards above cannot see: with two
+// workers every parallel kernel call allocates its closures, wait group
+// and goroutines, so a PaperConfig Detect allocates a few hundred times
+// per pass in either precision. The budget is the count measured before
+// the vector data-movement paths landed, the largest over the GEMM and
+// int8 kernels: 511 in both precisions under go, go-fma, sse, avx512,
+// qgo and qvnni, 403 under avx2, whose wider column blocks make fewer
+// parallel calls. A change that adds allocations to the parallel path
+// fails here.
+func TestDetectTwoWorkerAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs PaperConfig detect passes; skipped in -short mode")
+	}
+	prev := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(prev)
+
+	c := PaperConfig()
+	m, err := NewModel(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := quantTestRasters(c, 3, 23)
+	x := rs[0]
+	const budget = 511
+	for _, precision := range []string{PrecisionFP32, PrecisionInt8} {
+		if precision == PrecisionInt8 {
+			if err := m.CalibrateInt8(rs[1:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.SetPrecision(precision); err != nil {
+			t.Fatal(err)
+		}
+		m.Detect(x) // warm-up: sizes the workspace, scratch and pools
+		allocs := testing.AllocsPerRun(3, func() {
+			m.Detect(x)
+		})
+		t.Logf("%s Detect at 2 workers: %.0f allocations per pass", precision, allocs)
+		if allocs > budget {
+			t.Errorf("%s Detect at 2 workers allocated %.0f times per pass, want ≤ %d", precision, allocs, budget)
+		}
+	}
+}

@@ -293,15 +293,27 @@ func maxPool2DInto(xd []float32, n, c, h, w, kernel, stride int, od []float32, a
 	// Direct call when serial: creating the closure for parallel.For would
 	// heap-allocate on every pool layer (see gemmPacked for the rationale).
 	if parallel.Workers() == 1 {
-		maxPoolPlanes(xd, h, w, kernel, stride, od, arg, 0, n*c)
+		poolPlanes(xd, h, w, kernel, stride, od, arg, 0, n*c)
 		return
 	}
 	parallel.For(n*c, parallel.GrainFor(perPlane, convMinChunkWork), func(p0, p1 int) {
-		maxPoolPlanes(xd, h, w, kernel, stride, od, arg, p0, p1)
+		poolPlanes(xd, h, w, kernel, stride, od, arg, p0, p1)
 	})
 }
 
-// maxPoolPlanes pools (batch, channel) planes [p0, p1).
+// poolPlanes pools (batch, channel) planes [p0, p1): the inference
+// 2×2/stride-2 window — the only pooling the model infers — with
+// AVX-512 where the host has it (maxPool2x2Vector), everything else,
+// training's argmax bookkeeping included, in maxPoolPlanes.
+func poolPlanes(xd []float32, h, w, kernel, stride int, od []float32, arg []int32, p0, p1 int) {
+	if arg == nil && kernel == 2 && stride == 2 && maxPool2x2Vector(xd, h, w, od, p0, p1) {
+		return
+	}
+	maxPoolPlanes(xd, h, w, kernel, stride, od, arg, p0, p1)
+}
+
+// maxPoolPlanes pools (batch, channel) planes [p0, p1) in Go, the bit
+// reference of maxPool2x2Vector.
 func maxPoolPlanes(xd []float32, h, w, kernel, stride int, od []float32, arg []int32, p0, p1 int) {
 	oh := (h-kernel)/stride + 1
 	ow := (w-kernel)/stride + 1

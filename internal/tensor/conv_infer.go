@@ -158,6 +158,18 @@ func col2imChans(cd []float32, h, w int, o ConvOpts, xd []float32, c0, c1 int) {
 			for kx := 0; kx < o.Kernel; kx++ {
 				src := cd[row*oh*ow:]
 				row++
+				if o.Stride == 1 {
+					// Column row oy lands on image row oy+dy, and only
+					// its ox in [lo, hi) inside that row: add those runs
+					// without a per-element bounds test.
+					dy, dx := ky-o.Padding, kx-o.Padding
+					oy0, oy1 := max(0, -dy), min(oh, h-dy)
+					lo, hi := max(0, -dx), min(ow, w-dx)
+					if oy1 > oy0 && hi > lo {
+						addRuns(xd[base+(oy0+dy)*w+lo+dx:], src[oy0*ow+lo:], oy1-oy0, hi-lo, w, ow)
+					}
+					continue
+				}
 				i := 0
 				for oy := 0; oy < oh; oy++ {
 					sy := oy*o.Stride + ky - o.Padding
@@ -166,20 +178,6 @@ func col2imChans(cd []float32, h, w int, o ConvOpts, xd []float32, c0, c1 int) {
 						continue
 					}
 					drow := xd[base+sy*w : base+sy*w+w]
-					if o.Stride == 1 {
-						// Only ox in [lo, hi) lands inside the row: add
-						// that run without a per-element bounds test.
-						dx := kx - o.Padding
-						lo, hi := max(0, -dx), min(ow, w-dx)
-						if hi > lo {
-							dd, ss := drow[lo+dx:hi+dx], src[i+lo:i+hi]
-							for e := range dd {
-								dd[e] += ss[e]
-							}
-						}
-						i += ow
-						continue
-					}
 					for ox := 0; ox < ow; ox++ {
 						sx := ox*o.Stride + kx - o.Padding
 						if sx >= 0 && sx < w {
@@ -189,6 +187,24 @@ func col2imChans(cd []float32, h, w int, o ConvOpts, xd []float32, c0, c1 int) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// addRuns adds rows runs of n floats, dst[r·ds+e] += src[r·ss+e], with
+// AVX-512 where the host has it (addRunsVector), else in Go.
+func addRuns(dst, src []float32, rows, n, ds, ss int) {
+	if !addRunsVector(dst, src, rows, n, ds, ss) {
+		addRunsGo(dst, src, rows, n, ds, ss)
+	}
+}
+
+// addRunsGo is addRuns in Go, the bit reference of addRunsVector.
+func addRunsGo(dst, src []float32, rows, n, ds, ss int) {
+	for r := 0; r < rows; r++ {
+		dd, sv := dst[r*ds:r*ds+n], src[r*ss:r*ss+n]
+		for e := range dd {
+			dd[e] += sv[e]
 		}
 	}
 }

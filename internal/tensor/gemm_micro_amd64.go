@@ -139,6 +139,68 @@ func gemmMicroStore(kind microKind, kc int, pa, pb []float32, out cOut, i0, j0 i
 	return true
 }
 
+// maxPanelTaps bounds the conv window the vector im2col packers plan:
+// kernels up to 7×7. Larger windows take the Go packers.
+const maxPanelTaps = 49
+
+// im2colPanelPlan builds the plan of a 32-column im2col panel whose
+// columns are consecutive pixels of one output row, for the vector
+// packers of both precisions: for tap t = ky·kern + kx, taps[t] is its
+// offset from the first column's top-left tap (ty, tx), and masks[t]
+// has bit e·stride set for each column e whose source pixel lies inside
+// the h×w image — no bit when row ty+ky lies outside it. A k-row's
+// loads cover 32·stride source elements from column tx+kx on; the ones
+// inside the image are a range [lo, hi), so each kx's mask is two
+// shifts (for stride 2 keeping the even elements, which the columns
+// read).
+func im2colPanelPlan(kern, stride, h, w, ty, tx int, taps *[maxPanelTaps]int, masks *[maxPanelTaps]uint64) {
+	span := 32 * stride
+	for kx := 0; kx < kern; kx++ {
+		sx := tx + kx
+		lo := min(max(-sx, 0), span)
+		hi := min(max(w-sx, lo), span)
+		m := (uint64(1)<<hi - 1) &^ (uint64(1)<<lo - 1)
+		if stride == 2 {
+			m &= 0x5555555555555555
+		}
+		for ky := 0; ky < kern; ky++ {
+			t := ky*kern + kx
+			taps[t] = ky*w + kx
+			masks[t] = 0
+			if uint(ty+ky) < uint(h) {
+				masks[t] = m
+			}
+		}
+	}
+}
+
+// packIm2colPanel packs the kc k-rows from k-row pc of a 32-column B
+// panel of the avx512 kernel with AVX-512, and reports whether it did.
+// The caller has checked that the panel's columns are consecutive
+// pixels of one output row; base is their item's image offset and
+// (ty, tx) the first column's top-left tap, in the padding when
+// negative. It covers strides 1 and 2 and windows up to 7×7; every
+// other panel, and every other kernel, takes the Go packers, which stay
+// the bit reference. Loads and lane selects move each float unchanged,
+// and a lane outside the image is +0, the bits clear writes.
+func packIm2colPanel(kind microKind, bs bSource, dst []float32, base, ty, tx, pc, kc int) bool {
+	const nr = 32
+	kern, stride := bs.o.Kernel, bs.o.Stride
+	ntaps := kern * kern
+	if kind != microAVX512x8x32 || kc <= 0 || stride > 2 || ntaps > maxPanelTaps {
+		return false
+	}
+	h, w := bs.h, bs.w
+	var taps [maxPanelTaps]int
+	var masks [maxPanelTaps]uint64
+	im2colPanelPlan(kern, stride, h, w, ty, tx, &taps, &masks)
+	ch := pc / ntaps
+	_ = dst[kc*nr-1]
+	packPanelAVX512(&dst[0], &bs.data[0], base+ch*h*w+ty*w+tx, &taps[0], &masks[0],
+		ntaps, pc-ch*ntaps, h*w, kc, stride)
+	return true
+}
+
 // Assembly micro-kernels (gemm_micro_amd64.s). Each overwrites the
 // leading mr×nr floats of acc; MULPS/ADDPS for SSE (muladd family),
 // VFMADD231PS for AVX2/AVX-512 (fma family).
@@ -160,3 +222,10 @@ func gemmMicroAVX512(kc int, pa, pb *float32, acc *[gemmMaxTile]float32)
 //
 //go:noescape
 func gemmMicroAVX512Store(kc int, pa, pb, c0, c1 *float32, ldc, split, flags int, beta, slope float32, bias *float32)
+
+// packPanelAVX512 is the vector body of packIm2colPanel
+// (gemm_micro_amd64.s): org is the float offset of the first column's
+// top-left tap of channel pc/ntaps from src, and may be negative.
+//
+//go:noescape
+func packPanelAVX512(dst, src *float32, org int, taps *int, masks *uint64, ntaps, t0, chStride, kc, stride int)

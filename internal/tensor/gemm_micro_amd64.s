@@ -416,3 +416,87 @@ store:
 	STORE_ROW(Z14, Z15)
 	VZEROUPPER
 	RET
+
+// packPanelAVX512 packs one 32-column B panel of the avx512 kernel
+// straight from [c,h,w] images, for a panel whose columns are
+// consecutive pixels of one output row (see packIm2colPanel). It writes
+// kc k-rows of 32 floats: float (p, s) holds k-row p of column s, the
+// layout gemmMicroAVX512 reads.
+//
+// K-row p is tap t = (t0 + p) mod ntaps of channel ch0 + (t0 + p) /
+// ntaps. Its source floats start at R8 + 4·taps[t], where R8 walks from
+// src + 4·org by 4·chStride bytes per channel. Every load is zero-masked
+// by masks[t] (16 bits per vector), so a lane whose pixel lies outside
+// the image is never read and holds +0; a row in the padding has an
+// empty mask. Stride 1 loads the row run's 32 floats as two vectors.
+// Stride 2 loads its 64 floats as four and keeps the even lanes with
+// two VPERMT2PS selects (Z30 holds the indices 0, 2, …, 30).
+//
+// func packPanelAVX512(dst, src *float32, org int, taps *int, masks *uint64, ntaps, t0, chStride, kc, stride int)
+
+// Advance to the next tap: past the last one, wrap to tap 0 of the next
+// channel.
+#define NEXT_TAP \
+	XORL AX, AX; \
+	INCQ R12; \
+	CMPQ R12, R11; \
+	CMOVQEQ R14, R12; \
+	CMOVQEQ R13, AX; \
+	ADDQ AX, R8
+
+TEXT ·packPanelAVX512(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), R8
+	MOVQ org+16(FP), AX
+	LEAQ (R8)(AX*4), R8
+	MOVQ taps+24(FP), R9
+	MOVQ masks+32(FP), R10
+	MOVQ ntaps+40(FP), R11
+	MOVQ t0+48(FP), R12
+	MOVQ chStride+56(FP), R13
+	SHLQ $2, R13
+	MOVQ kc+64(FP), DX
+	MOVQ stride+72(FP), CX
+	XORQ R14, R14
+	CMPQ CX, $2
+	JEQ  pps2
+
+pps1:
+	MOVQ  (R9)(R12*8), AX
+	KMOVW (R10)(R12*8), K1
+	KMOVW 2(R10)(R12*8), K2
+	VMOVUPS.Z (R8)(AX*4), K1, Z0
+	VMOVUPS.Z 64(R8)(AX*4), K2, Z1
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	ADDQ $128, DI
+	NEXT_TAP
+	DECQ DX
+	JNZ  pps1
+	JMP  ppsdone
+
+pps2:
+	VMOVDQU32 ·laneSelect(SB), Z30
+
+pps2loop:
+	MOVQ  (R9)(R12*8), AX
+	KMOVW (R10)(R12*8), K1
+	KMOVW 2(R10)(R12*8), K2
+	KMOVW 4(R10)(R12*8), K3
+	KMOVW 6(R10)(R12*8), K4
+	VMOVUPS.Z (R8)(AX*4), K1, Z0
+	VMOVUPS.Z 64(R8)(AX*4), K2, Z1
+	VMOVUPS.Z 128(R8)(AX*4), K3, Z2
+	VMOVUPS.Z 192(R8)(AX*4), K4, Z3
+	VPERMT2PS Z1, Z30, Z0
+	VPERMT2PS Z3, Z30, Z2
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z2, 64(DI)
+	ADDQ $128, DI
+	NEXT_TAP
+	DECQ DX
+	JNZ  pps2loop
+
+ppsdone:
+	VZEROUPPER
+	RET

@@ -43,3 +43,8 @@ func gemmMicroRun(kind microKind, mr, nr, kc int, pa, pb []float32, acc *[gemmMa
 func gemmMicroStore(kind microKind, kc int, pa, pb []float32, out cOut, i0, j0 int, first, last bool) bool {
 	return false
 }
+
+// packIm2colPanel reports false: every panel takes the Go packers.
+func packIm2colPanel(kind microKind, bs bSource, dst []float32, base, ty, tx, pc, kc int) bool {
+	return false
+}

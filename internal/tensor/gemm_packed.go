@@ -213,13 +213,16 @@ func (bs bSource) pack(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 // running packB over im2colInto's output, item by item, which is what
 // keeps the fused and materialized conv paths bit-identical.
 //
-// A stride-1 panel whose columns all sit in one output row — every
-// panel of a conv whose output width is a multiple of NR, the trunk at
-// the paper's 256 px — packs each k-row as one clipped run of an image
-// row (packRowPanel). Any other panel (rows or items shorter than NR,
-// as on the refinement's 7×7 and 4×4 RoI grids, and strided convs)
-// gathers element by element through a per-panel plan, so no k-row
-// pays a per-segment setup.
+// A panel whose columns all sit in one output row — every panel of a
+// conv whose output width is a multiple of NR, the trunk at the paper's
+// 256 px — is a row panel. On the avx512 kernel, row panels at stride 1
+// and 2 are packed with masked AVX-512 loads (packIm2colPanel); on the
+// others, a stride-1 row panel packs each k-row as one clipped run of
+// an image row (packRowPanel). Any other panel (rows or items shorter
+// than NR, as on the refinement's 7×7 and 4×4 RoI grids, and strides
+// the vector packer does not take) gathers element by element through a
+// per-panel plan, so no k-row pays a per-segment setup. packRowPanel
+// and the gather loop are the vector packer's bit reference.
 func (bs bSource) packIm2col(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 	nr, kcStride := kr.nr, kr.kc
 	kern, stride, pad := bs.o.Kernel, bs.o.Stride, bs.o.Padding
@@ -244,9 +247,15 @@ func (bs bSource) packIm2col(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) {
 		pix := j0 - item*oh*ow
 		oy := pix / ow
 		ox := pix - oy*ow
-		if stride == 1 && cols == nr && ox+nr <= ow {
-			bs.packRowPanel(dst, nr, item*bs.plane, ch, ky, kx, oy-pad, ox-pad)
-			continue
+		if cols == nr && ox+nr <= ow {
+			ty, tx := oy*stride-pad, ox*stride-pad
+			if packIm2colPanel(kr.kind, bs, dst, item*bs.plane, ty, tx, pc, kc) {
+				continue
+			}
+			if stride == 1 {
+				bs.packRowPanel(dst, nr, item*bs.plane, ch, ky, kx, ty, tx)
+				continue
+			}
 		}
 		for s := 0; s < cols; s++ {
 			ty[s], tx[s] = oy*stride-pad, ox*stride-pad

@@ -103,10 +103,6 @@ func qgemmMicroStore(kind qmicroKind, kc4 int, pa []int8, pb []uint8, c []float3
 	return true
 }
 
-// qmaxTaps bounds the conv window the vector im2col packer plans:
-// kernels up to 7×7. Larger windows take the Go packer.
-const qmaxTaps = 49
-
 // qpackIm2colPanel packs the kc k-rows from k-row pc of the 32-column
 // B panel at column j0 with AVX-512, and reports whether it did. It
 // covers qvnni panels whose columns are consecutive pixels of one
@@ -114,18 +110,19 @@ const qmaxTaps = 49
 // panel, and every other kernel, takes the Go packer, which stays the
 // bit reference.
 //
-// The panel's plan is built once: for each tap (ky, kx) of the window,
-// its offset from the first column's top-left tap, and the mask of the
-// columns whose source pixel lies inside the image — none when row
-// ty+ky is outside it. The vector code then needs no bounds logic: a
-// masked-off lane is never read and keeps the zero point.
+// The panel's plan (im2colPanelPlan) is built once: for each tap
+// (ky, kx) of the window, its offset from the first column's top-left
+// tap, and the mask of the columns whose source pixel lies inside the
+// image — none when row ty+ky is outside it. The vector code then needs
+// no bounds logic: a masked-off lane is never read and keeps the zero
+// point.
 func qpackIm2colPanel(kind qmicroKind, bs qbSource, dst []uint8, j0, pc, kc int) bool {
 	const nr = 32
 	o := bs.o
 	kern, stride := o.Kernel, o.Stride
 	ntaps := kern * kern
 	if kind != qmicroVNNI8x32 || !cpu.X86.HasAVX512BW() || kc <= 0 ||
-		stride > 2 || ntaps > qmaxTaps {
+		stride > 2 || ntaps > maxPanelTaps {
 		return false
 	}
 	h, w, ow := bs.h, bs.w, bs.ow
@@ -136,23 +133,9 @@ func qpackIm2colPanel(kind qmicroKind, bs qbSource, dst []uint8, j0, pc, kc int)
 	}
 	// (ty, tx): the top-left tap of column 0, in the padding when negative.
 	ty, tx := oy*stride-o.Padding, ox*stride-o.Padding
-	var taps [qmaxTaps]int
-	var masks [qmaxTaps]uint64
-	for kx := 0; kx < kern; kx++ {
-		var m uint64
-		for e := 0; e < nr; e++ {
-			if uint(tx+kx+e*stride) < uint(w) {
-				m |= 1 << (e * stride)
-			}
-		}
-		for ky := 0; ky < kern; ky++ {
-			t := ky*kern + kx
-			taps[t] = ky*w + kx
-			if uint(ty+ky) < uint(h) {
-				masks[t] = m
-			}
-		}
-	}
+	var taps [maxPanelTaps]int
+	var masks [maxPanelTaps]uint64
+	im2colPanelPlan(kern, stride, h, w, ty, tx, &taps, &masks)
 	ch := pc / ntaps
 	_ = dst[(kc+3)/4*nr*4-1]
 	qpackPanelAVX512(&dst[0], &bs.data[0], ch*h*w+ty*w+tx, &taps[0], &masks[0],
