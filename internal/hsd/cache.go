@@ -44,15 +44,11 @@ func NewDetCache(maxBytes int64) *DetCache {
 // The cache is consulted by DetectLayoutMegatile, ScanLayoutMegatile and
 // RescanLayoutMegatile before each megatile forward pass; a *DetCache is
 // safe for concurrent use, so one cache is typically shared across a
-// serving pool's workers (every clone inherits the attachment). Detached
-// models scan exactly as before — the nil-cache path adds no work and no
+// serving pool's workers (every clone inherits the attachment, and scan
+// workers take it at the start of every scan). Detached models scan
+// exactly as before — the nil-cache path adds no work and no
 // allocations, preserving the steady-state allocation guarantee.
-func (m *Model) SetScanCache(c *DetCache) {
-	m.cache = c
-	for _, r := range m.replicas {
-		r.SetScanCache(c)
-	}
-}
+func (m *Model) SetScanCache(c *DetCache) { m.cache = c }
 
 // ScanCache returns the attached megatile result cache, nil if detached.
 func (m *Model) ScanCache() *DetCache { return m.cache }
@@ -128,7 +124,7 @@ func RasterKey(raster *tensor.Tensor, version [sha256.Size]byte) scancache.Key {
 
 // cachedDetect runs one megatile forward pass through the attached
 // cache: a content hit returns the stored detections (a private copy)
-// without touching the network; a miss runs Detect on the worker replica
+// without touching the network; a miss runs Detect on the scan worker
 // mw and retains the result. useCache=false (detached cache, or a path
 // that skipped version hashing) is a plain Detect call. The second
 // return reports how the lookup was served (OutcomeNone when no cache

@@ -1,7 +1,6 @@
 package hsd
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,90 +15,51 @@ type Detection struct {
 	Score float64
 }
 
-// detectScratch is the model's reusable non-tensor detection state. All
-// slices grow to the high-water mark of the pipeline and are recycled
-// every Detect call, so steady-state detection allocates only the
-// returned []Detection. The embedded BaseOutput is rewritten by each
+// detectScratch is the pass state's reusable non-tensor detection
+// state. All slices grow to the high-water mark of the pipeline and are
+// recycled every Detect call, so steady-state detection allocates only
+// the returned []Detection. The embedded BaseOutput is rewritten by each
 // InferBase call.
 type detectScratch struct {
 	base    BaseOutput
 	cand    []ScoredClip // decoded anchor candidates
 	topk    []ScoredClip // pre-NMS top-K working copy
-	sorted  []ScoredClip // nmsInto sort buffer
-	kept    []ScoredClip // nmsInto survivors
+	sorted  []ScoredClip // nms sort buffer
+	kept    []ScoredClip // nms survivors
 	scored  []ScoredClip // refined, thresholded clips
-	removed []bool       // nmsInto suppression marks
+	removed []bool       // nms suppression marks
 	rois    []geom.Rect  // cascade RoIs (current)
 	next    []geom.Rect  // cascade RoIs (next iteration)
 }
 
-// topKInto copies clips into dst, sorts them with TopK's stable
-// byScoreDesc ranking and truncates to k. The returned slice aliases dst.
-func topKInto(dst []ScoredClip, clips []ScoredClip, k int) []ScoredClip {
-	dst = append(dst[:0], clips...)
-	slices.SortStableFunc(dst, byScoreDesc)
-	if k > 0 && k < len(dst) {
-		dst = dst[:k]
-	}
-	return dst
-}
-
-// nmsInto is the scratch-backed counterpart of Model.nms: identical
-// ordering and suppression semantics, but sort, survivor and removal
-// buffers all come from s. The returned slice aliases s.kept and is valid
+// nmsInto applies the configured suppression — h-NMS (Alg. 1) by
+// default, conventional whole-clip NMS for the ablation — with every
+// buffer drawn from s. The returned slice aliases s.kept and is valid
 // until the next nmsInto call on the same scratch.
 func (m *Model) nmsInto(s *detectScratch, clips []ScoredClip) []ScoredClip {
 	overlap := geom.CoreIoU
 	if m.Config.ConventionalNMS {
 		overlap = geom.IoU
 	}
-	threshold := m.Config.NMSThreshold
-	s.sorted = append(s.sorted[:0], clips...)
-	sorted := s.sorted
-	slices.SortStableFunc(sorted, byScoreDesc)
-	if cap(s.removed) < len(sorted) {
-		s.removed = make([]bool, len(sorted))
-	}
-	removed := s.removed[:len(sorted)]
-	for i := range removed {
-		removed[i] = false
-	}
-	s.kept = s.kept[:0]
-	// Same disjointness quick-reject as the allocating nms: suppression
-	// decisions are unchanged for non-negative thresholds.
-	quick := threshold >= 0
-	for i := range sorted {
-		if removed[i] {
-			continue
-		}
-		s.kept = append(s.kept, sorted[i])
-		for j := i + 1; j < len(sorted); j++ {
-			if removed[j] {
-				continue
-			}
-			if quick && sorted[i].Clip.Disjoint(sorted[j].Clip) {
-				continue
-			}
-			if overlap(sorted[i].Clip, sorted[j].Clip) > threshold {
-				removed[j] = true
-			}
-		}
-	}
-	return s.kept
+	return nms(s, clips, m.Config.NMSThreshold, overlap)
 }
 
-// proposalsInto is the scratch-backed counterpart of Proposals, used by
-// the detection path. It decodes the CPN output over the given anchor
-// grid, bounded by the w×h pixel extent of the raster that produced out.
-// The pre-NMS top-K and proposal-count budgets scale with the grid's cell
-// count relative to the nominal grid, so a megatile keeps the same
-// proposal density per unit area as a single-region pass; at the nominal
-// size both scale factors are exactly 1 and the behaviour is unchanged.
-// The returned slice aliases scratch buffers and is valid until the next
-// proposalsInto/nmsInto call.
-func (m *Model) proposalsInto(s *detectScratch, set *AnchorSet, out *BaseOutput, w, h int) []ScoredClip {
+// nms is nmsInto on a fresh scratch, so the result is the caller's own.
+func (m *Model) nms(clips []ScoredClip) []ScoredClip {
+	return m.nmsInto(&detectScratch{}, clips)
+}
+
+// decodeProposals is the one proposal decoder, shared by Detect and
+// Proposals. It decodes the CPN output over the given anchor grid,
+// bounded by the w×h pixel extent of the raster that produced out, and
+// ranks the candidates by the pre-NMS budget into s.topk, which it
+// returns with the proposal budget to cut the suppressed list to (≤ 0:
+// keep all). Both budgets scale with the grid's cell count relative to
+// the nominal grid, so a megatile keeps the same proposal density per
+// unit area as a single-region pass; at the nominal size both scale
+// factors are exactly 1.
+func (m *Model) decodeProposals(s *detectScratch, set *AnchorSet, out *BaseOutput, w, h int) (ranked []ScoredClip, budget int) {
 	c := m.Config
-	sp := m.stageSpan(StagePruning)
 	bounds := geom.Rect{X0: 0, Y0: 0, X1: float64(w), Y1: float64(h)}
 	base := c.FeatureSize() * c.FeatureSize()
 	ratio := (set.FeatH*set.FeatW + base - 1) / base
@@ -114,22 +74,7 @@ func (m *Model) proposalsInto(s *detectScratch, set *AnchorSet, out *BaseOutput,
 		s.cand = append(s.cand, ScoredClip{Clip: box, Score: score})
 	}
 	s.topk = topKInto(s.topk, s.cand, preNMSTopK*ratio)
-	sp.End()
-	sp = m.stageSpan(StageHNMS)
-	kept := m.nmsInto(s, s.topk)
-	sp.End()
-	if ins := m.ins; ins != nil {
-		ins.ProposalsSuppressed.Add(int64(len(s.topk) - len(kept)))
-	}
-	// kept is already in descending score order, so the final TopK is a
-	// prefix — same result as Proposals' trailing TopK call.
-	if pc := c.ProposalCount * ratio; c.ProposalCount > 0 && pc < len(kept) {
-		kept = kept[:pc]
-	}
-	if ins := m.ins; ins != nil {
-		ins.ProposalsKept.Add(int64(len(kept)))
-	}
-	return kept
+	return s.topk, c.ProposalCount * ratio
 }
 
 // Detect runs one-pass region-based detection on an input raster
@@ -146,7 +91,7 @@ func (m *Model) proposalsInto(s *detectScratch, set *AnchorSet, out *BaseOutput,
 // convolutional, the anchor grid is generated (and cached) per
 // feature-map extent, and refinement RoI-pools per proposal from whatever
 // feature map exists — so one call can cover a whole megatile of layout.
-// Proposal budgets scale with raster area (see proposalsInto).
+// Proposal budgets scale with raster area (see decodeProposals).
 //
 // Detect runs on the model's allocation-free inference path: activations
 // come from the per-model workspace (reset on entry), candidate and NMS
@@ -162,8 +107,23 @@ func (m *Model) Detect(x *tensor.Tensor) []Detection {
 	}
 	h, w := x.Dim(2), x.Dim(3)
 	out := m.InferBase(x)
-	set := m.anchorsFor(h/FeatureStride, w/FeatureStride)
-	props := m.proposalsInto(s, set, out, w, h)
+	sp := m.stageSpan(StagePruning)
+	ranked, budget := m.decodeProposals(s, m.anchorsFor(h/FeatureStride, w/FeatureStride), out, w, h)
+	sp.End()
+	sp = m.stageSpan(StageHNMS)
+	props := m.nmsInto(s, ranked)
+	sp.End()
+	if ins != nil {
+		ins.ProposalsSuppressed.Add(int64(len(ranked) - len(props)))
+	}
+	// props is already in descending score order, so the proposal budget
+	// keeps a prefix — what Proposals' trailing TopK returns.
+	if budget > 0 && budget < len(props) {
+		props = props[:budget]
+	}
+	if ins != nil {
+		ins.ProposalsKept.Add(int64(len(props)))
+	}
 	if !c.UseRefine {
 		var dets []Detection
 		for _, p := range props {
@@ -232,7 +192,7 @@ func (m *Model) Detect(x *tensor.Tensor) []Detection {
 	if empty {
 		return nil
 	}
-	sp := m.stageSpan(StageHNMS)
+	sp = m.stageSpan(StageHNMS)
 	final := m.nmsInto(s, s.scored)
 	sp.End()
 	dets := make([]Detection, len(final))
@@ -245,18 +205,18 @@ func (m *Model) Detect(x *tensor.Tensor) []Detection {
 	return dets
 }
 
-// scanReplicated runs scan(replica, i) for every work item i in [0, n) on
-// up to parallel.Workers() goroutines — capped by SetScanWorkers — each
-// driving its own model replica (Clone) because layers and workspaces are
-// single-goroutine state. Replicas are cached on the model and reused
-// across calls (with their parameters re-synced from m each time, so a
-// Load between scans takes effect), which keeps a long-lived model from
-// re-building the network and re-growing workspaces on every scan. Work
-// items are claimed from a shared counter; callers store per-item results
-// in a slice indexed by i so output order — and therefore the final merge
-// — is identical for every worker count. scan receives the worker slot w
-// driving it (0 = the primary model) so traced scans can attribute each
-// work item to the replica that ran it.
+// scanReplicated runs scan(worker, i) for every work item i in [0, n)
+// on up to parallel.Workers() goroutines — capped by SetScanWorkers —
+// each driving its own view of the model: m itself and cached scan
+// workers (Clone views kept in m.replicas). At the start of every scan
+// each worker is refreshed from m with one struct copy that keeps only
+// its own pass state, so it runs with m's present Config, precision,
+// quantizer, instruments and cache, and the layers and weights are m's
+// own. Work items are claimed from a shared counter; callers store
+// per-item results in a slice indexed by i so output order — and
+// therefore the final merge — is identical for every worker count. scan
+// receives the worker slot w driving it (0 = the primary model) so
+// traced scans can attribute each work item to the worker that ran it.
 func (m *Model) scanReplicated(n int, scan func(mw *Model, w, i int)) {
 	workers := parallel.Workers()
 	if m.scanWorkers > 0 && m.scanWorkers < workers {
@@ -265,34 +225,27 @@ func (m *Model) scanReplicated(n int, scan func(mw *Model, w, i int)) {
 	if workers > n {
 		workers = n
 	}
-	// Replica construction can fail only on an invalid Config, which m
-	// itself already passed; a defensive fallback keeps the scan serial on
-	// whatever replicas did build.
-	for len(m.replicas) < workers-1 {
-		r, err := m.Clone()
-		if err != nil {
-			break
-		}
-		m.replicas = append(m.replicas, r)
-	}
-	replicas := []*Model{m}
-	for _, r := range m.replicas {
-		if len(replicas) >= workers {
-			break
-		}
-		m.syncReplica(r)
-		replicas = append(replicas, r)
-	}
-	if len(replicas) == 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			scan(m, 0, i)
 		}
 		return
 	}
+	for len(m.replicas) < workers-1 {
+		r, _ := m.Clone() // a view: Clone cannot fail
+		m.replicas = append(m.replicas, r)
+	}
+	views := []*Model{m}
+	for _, r := range m.replicas[:workers-1] {
+		ps := r.passState
+		*r = *m
+		r.passState = ps
+		views = append(views, r)
+	}
 	var next int32
 	var wg sync.WaitGroup
-	wg.Add(len(replicas))
-	for w, r := range replicas {
+	wg.Add(len(views))
+	for w, r := range views {
 		go func(mw *Model, w int) {
 			defer wg.Done()
 			for {

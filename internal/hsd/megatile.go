@@ -120,23 +120,42 @@ func keptBy(boundaries []float64, v float64, i int, slack float64) bool {
 // once per megatile, so only the overlap strips between megatiles are
 // rasterized twice.
 func RegionRaster(l *layout.Layout, c Config, px int) *tensor.Tensor {
-	raster := l.Rasterize(l.Bounds, c.PitchNM)
 	img := tensor.New(1, InputChannels, px, px)
-	// The raster may deviate by a pixel from px when region and pitch
-	// don't divide exactly; copy the overlap. The second channel is
-	// initialized to 1 (all space) and overwritten where metal rasters.
-	for i := px * px; i < 2*px*px; i++ {
-		img.Data()[i] = 1
+	fillRegionRaster(img.Data(), nil, l, c, px)
+	return img
+}
+
+// regionRaster is RegionRaster into the pass state's raster buffers,
+// which the scan reuses megatile after megatile. The tensor is valid
+// until the next regionRaster or TrimWorkspace call on m.
+func (m *Model) regionRaster(l *layout.Layout, px int) *tensor.Tensor {
+	if m.raster == nil || m.raster.Dim(2) != px {
+		m.raster = tensor.New(1, InputChannels, px, px)
 	}
-	h, w := raster.Dim(1), raster.Dim(2)
+	m.mask = fillRegionRaster(m.raster.Data(), m.mask, l, m.Config, px)
+	return m.raster
+}
+
+// fillRegionRaster writes RegionRaster's pixels into img (2·px·px
+// floats), rasterizing l's bounds through mask's memory, and returns the
+// mask buffer for reuse. The raster may deviate by a pixel from px when
+// region and pitch don't divide exactly; the overlap is copied. The
+// second channel is 1 (all space) and overwritten where metal rasters.
+func fillRegionRaster(img, mask []float32, l *layout.Layout, c Config, px int) []float32 {
+	mask, h, w := l.RasterizeInto(mask, l.Bounds, c.PitchNM)
+	metal, space := img[:px*px], img[px*px:2*px*px]
+	clear(metal)
+	for i := range space {
+		space[i] = 1
+	}
 	for y := 0; y < minInt(h, px); y++ {
 		for x := 0; x < minInt(w, px); x++ {
-			v := raster.At(0, y, x)
-			img.Set(v, 0, 0, y, x)
-			img.Set(1-v, 0, 1, y, x)
+			v := mask[y*w+x]
+			metal[y*px+x] = v
+			space[y*px+x] = 1 - v
 		}
 	}
-	return img
+	return mask
 }
 
 // ScanResult is one megatile scan's output plus the state an incremental
@@ -201,8 +220,7 @@ func megatileGrid(spec MegatileSpec, window layout.Rect) (xb, yb []float64, tile
 func (m *Model) scanOneMegatile(mw *Model, l *layout.Layout, t megatile, spec MegatileSpec,
 	window layout.Rect, xb, yb []float64, version [32]byte, useCache bool, sp *telemetry.TraceSpan) []ScoredClip {
 	c := m.Config
-	sub := l.Window(t.tileRect(spec))
-	raster := RegionRaster(sub, c, spec.PxSize)
+	raster := mw.regionRaster(l.Window(t.tileRect(spec)), spec.PxSize)
 	var clips []ScoredClip
 	slack := ownershipSlackNM(c)
 	dets, outcome := m.cachedDetect(mw, raster, version, useCache)
@@ -337,11 +355,11 @@ func (m *Model) scanMegatiles(l *layout.Layout, window layout.Rect, factor int, 
 // window origin.
 //
 // Megatiles are the unit of work for the parallel scan: each of up to
-// parallel.Workers() goroutines drives its own model replica whose
-// workspace grows to the megatile shape. Per-megatile results land in a
-// slice indexed by megatile and are concatenated in row-major order
-// before the final h-NMS, so the output is bit-identical to a serial scan
-// for every worker count.
+// parallel.Workers() goroutines drives its own view of the model (see
+// Clone) whose workspace grows to the megatile shape. Per-megatile
+// results land in a slice indexed by megatile and are concatenated in
+// row-major order before the final h-NMS, so the output is bit-identical
+// to a serial scan for every worker count.
 //
 // With a cache attached (SetScanCache) each megatile's forward pass is
 // looked up by raster content first; the merge is unchanged, so cached

@@ -12,8 +12,13 @@ import (
 )
 
 // Model is the R-HSD network: shared feature extractor, clip proposal
-// network heads and the refinement stage. A Model is not safe for
-// concurrent use (layers cache forward activations).
+// network heads and the refinement stage. A Model value is a view: its
+// layers, parameters, prepacked Dense weights, int8 quantizer,
+// instruments and cache are references that Clone shares, while Config,
+// precision and the scan-worker cap are per view and its passState is
+// owned. Inference writes nothing outside the pass state, so one view
+// serves one goroutine at a time and any number of views infer at once
+// over one set of weights (see Clone).
 type Model struct {
 	Config Config
 
@@ -57,60 +62,63 @@ type Model struct {
 	RefineReg   *nn.Dense
 
 	Anchors *AnchorSet
-	// anchorGrids caches anchor sets for non-nominal feature-map extents
-	// (megatile inference), keyed by fh<<32|fw. Like the workspace it is
-	// per-model state: replicas fill their own caches, so the megatile
-	// scan never shares a mutable map across goroutines.
-	anchorGrids map[int64]*AnchorSet
-	rng         *rand.Rand
-
-	// ws is the model's inference workspace: every tensor the detection
-	// path needs is drawn from this arena and recycled by the Reset at
-	// the top of each Detect call, so steady-state inference allocates no
-	// tensor memory. Clone() builds a fresh Model and therefore a fresh
-	// workspace, which is what keeps the per-replica megatile scan
-	// race-free.
-	ws *tensor.Workspace
-	// scratch holds the reusable non-tensor buffers of the detection
-	// pipeline (candidate lists, NMS bookkeeping, RoI rectangles).
-	scratch detectScratch
+	rng     *rand.Rand
 
 	// ins is the model's telemetry bundle (nil = telemetry disabled, the
-	// default). Shared by reference with clones and scan replicas so a
+	// default). Shared by reference with clones and scan workers so a
 	// parallel scan aggregates into one set of series; see SetInstruments.
 	ins *Instruments
 
 	// cache is the attached megatile result cache (nil = caching
 	// disabled, the default). Shared by reference like ins — the cache is
-	// concurrency-safe and content-addressed, so clones and replicas can
-	// all consult one instance; see SetScanCache.
+	// concurrency-safe and content-addressed, so clones and scan workers
+	// can all consult one instance; see SetScanCache.
 	cache *DetCache
 
 	// precision is the trunk's numeric path (PrecisionFP32 default) and
-	// quant the armed int8 calibration state, nil until CalibrateInt8.
-	// Both propagate to clones and cached scan replicas; quantized plans
-	// are immutable at inference time and shared by reference. See
+	// quant the armed int8 calibration state, nil until CalibrateInt8. A
+	// frozen Quantizer is read-only, so views share it by reference; see
 	// quant.go.
 	precision string
 	quant     *nn.Quantizer
 
-	// scanWorkers caps the goroutines (and replicas) one layout scan may
-	// use; 0 means parallel.Workers(). See SetScanWorkers.
+	// scanWorkers caps the goroutines (and scan workers) one layout scan
+	// may use; 0 means parallel.Workers(). See SetScanWorkers.
 	scanWorkers int
-	// replicas are cached scan clones, reused across layout scans so a
-	// long-lived model (a serving worker, a CLI scanning many windows)
-	// does not reconstruct the network — or regrow per-clone workspaces —
-	// on every call. Parameters are synced from m at the start of each
-	// scan; see scanReplicated.
-	replicas []*Model
 
+	passState
+}
+
+// passState is everything one inference goroutine writes. Every other
+// field of a Model is read-only on the inference path, which is what
+// lets views share them; Clone gives each view a pass state of its own.
+type passState struct {
+	// ws is the inference workspace: every tensor the detection path
+	// needs is drawn from this arena and recycled by the Reset at the top
+	// of each Detect call, so steady-state inference allocates no tensor
+	// memory.
+	ws *tensor.Workspace
+	// scratch holds the reusable non-tensor buffers of the detection
+	// pipeline (candidate lists, NMS bookkeeping, RoI rectangles).
+	scratch detectScratch
+	// raster and mask are the megatile input raster and its one-channel
+	// layout mask, refilled megatile after megatile (regionRaster).
+	raster *tensor.Tensor
+	mask   []float32
+	// anchorGrids caches anchor sets for non-nominal feature-map extents
+	// (megatile inference), keyed by fh<<32|fw.
+	anchorGrids map[int64]*AnchorSet
+	// replicas are the cached scan workers: views of this model reused
+	// across layout scans, so a long-lived model (a serving worker, a CLI
+	// scanning many windows) keeps their grown workspaces. scanReplicated
+	// refreshes each from the model at the start of every scan.
+	replicas []*Model
 	// trace/tspan are the active request trace and the span new stage
 	// and scan spans parent under (see SetTrace). Nil — the default —
-	// keeps every instrumented site on today's branch-only fast path.
-	// Replicas do not inherit them: a worker replica is handed the
-	// per-megatile span for exactly one work item at a time (trace.go),
-	// so spans parent under the megatile they time, not under whatever
-	// the replica scanned last.
+	// keeps every instrumented site on today's branch-only fast path. A
+	// scan worker is handed the per-megatile span for exactly one work
+	// item at a time (trace.go), so spans parent under the megatile they
+	// time, not under whatever the worker scanned last.
 	trace *telemetry.Trace
 	tspan *telemetry.TraceSpan
 	// profScope is the reusable per-work-item tensor profile scope,
@@ -127,7 +135,7 @@ func NewModel(c Config) (*Model, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
-	m := &Model{Config: c, rng: rng, ws: tensor.NewWorkspace()}
+	m := &Model{Config: c, rng: rng, passState: passState{ws: tensor.NewWorkspace()}}
 
 	// --- feature extraction stem: 3 convs + 2 max pools, ×4 compression
 	// ("compress the feature map size from 224×224 to 56×56", §3.1). The
@@ -234,11 +242,11 @@ func NewModel(c Config) (*Model, error) {
 // packInferWeights (re)builds the prepacked weight views the dense
 // inference layers multiply against (tensor.PackB). The packs are
 // derived caches of the parameters, so this must run at every point
-// the weights mutate in place — model construction, Load, Clone,
-// syncReplica and the end of a training run (Backward drops stale packs
-// mid-training; DESIGN §17). That is the same set of points
-// WeightsVersion observes fresh weights at, so a cached scan never
-// infers against stale panels.
+// the weights mutate in place — model construction, Load and the end of
+// a training run (Backward drops stale packs mid-training; DESIGN §17).
+// Views share the layers, so one call re-arms every view. That is the
+// same set of points WeightsVersion observes fresh weights at, so a
+// cached scan never infers against stale panels.
 func (m *Model) packInferWeights() {
 	for _, l := range m.RefineFC.Layers {
 		if d, ok := l.(*nn.Dense); ok {
@@ -275,8 +283,8 @@ func (m *Model) anchorsFor(fh, fw int) *AnchorSet {
 func (m *Model) WorkspaceFootprint() int { return m.ws.Footprint() }
 
 // TotalWorkspaceFootprint is WorkspaceFootprint summed over the model and
-// its cached scan replicas — the figure a memory dashboard (rhsd-serve
-// /statusz) wants, since every replica retains a full scan footprint.
+// its cached scan workers — the figure a memory dashboard (rhsd-serve
+// /statusz) wants, since every scan worker retains a full scan footprint.
 func (m *Model) TotalWorkspaceFootprint() int {
 	total := m.WorkspaceFootprint()
 	for _, r := range m.replicas {
@@ -287,26 +295,30 @@ func (m *Model) TotalWorkspaceFootprint() int {
 
 // TrimWorkspace releases retained inference scratch until at most
 // maxFloats float32s remain per workspace, recycling live buffers first
-// and cascading to cached scan replicas. A model that has served a
-// megatile pass keeps megatile-sized buffers alive for the next pass;
-// callers that drop back to nominal-size Detect calls — or a serving
-// daemon going idle — can trim to a budget and the workspaces regrow on
-// demand (see DESIGN.md §10/§11 for the retention policy).
+// and cascading to cached scan workers; a megatile raster larger than
+// maxFloats goes too. A model that has served a megatile pass keeps
+// megatile-sized buffers alive for the next pass; callers that drop back
+// to nominal-size Detect calls — or a serving daemon going idle — can
+// trim to a budget and the workspaces regrow on demand (see DESIGN.md
+// §10/§11 for the retention policy).
 func (m *Model) TrimWorkspace(maxFloats int) {
 	m.ws.Reset()
 	m.ws.Trim(maxFloats)
+	if m.raster != nil && m.raster.Size()+cap(m.mask) > maxFloats {
+		m.raster, m.mask = nil, nil
+	}
 	for _, r := range m.replicas {
 		r.TrimWorkspace(maxFloats)
 	}
 }
 
-// SetScanWorkers caps the goroutines — and therefore the cached model
-// replicas — one layout scan may use. 0 restores the default,
+// SetScanWorkers caps the goroutines — and therefore the cached scan
+// workers — one layout scan may use. 0 restores the default,
 // parallel.Workers(). 1 makes scans run serially on m itself with no
-// replicas at all: the configuration a serving pool uses so
+// scan workers at all: the configuration a serving pool uses so
 // cross-request parallelism comes from pooled clones rather than nested
 // per-request fan-out. Shrinking the cap releases the now-excess cached
-// replicas.
+// scan workers.
 func (m *Model) SetScanWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -380,59 +392,24 @@ func (m *Model) Params() []*nn.Param {
 	return ps
 }
 
-// Clone returns an independent replica: a freshly constructed network of
-// the same configuration with every parameter copied bit-for-bit. Layers
-// cache forward activations, so a single Model is not safe for concurrent
-// use — replicas are how the megatile scan runs megatiles on multiple
-// goroutines while producing identical outputs.
+// Clone returns a view of the model: a Model sharing m's layers,
+// parameters, prepacked Dense weights, int8 quantizer, instruments and
+// scan cache by reference, with its own copy of Config, precision and
+// the scan-worker cap and a fresh pass state (workspace, scratch, trace
+// handles). Inference on a view writes only its pass state, so m and its
+// clones may run Detect or layout scans concurrently, one goroutine per
+// view, with outputs identical to m's.
+//
+// Because the weights are shared, a Load or a training step through any
+// view is seen by all of them, and such a weight mutation must not
+// overlap inference on any view. Config, precision and the scan-worker
+// cap stay per view: changing them on one leaves the others as they
+// were. The error is always nil.
 func (m *Model) Clone() (*Model, error) {
-	r, err := NewModel(m.Config)
-	if err != nil {
-		return nil, err
-	}
-	src, dst := m.Params(), r.Params()
-	if len(src) != len(dst) {
-		return nil, fmt.Errorf("hsd: Clone parameter count mismatch %d vs %d", len(src), len(dst))
-	}
-	for i, p := range src {
-		if dst[i].Name != p.Name {
-			return nil, fmt.Errorf("hsd: Clone parameter order mismatch %q vs %q", dst[i].Name, p.Name)
-		}
-		copy(dst[i].W.Data(), p.W.Data())
-		copy(dst[i].Grad.Data(), p.Grad.Data())
-	}
-	// Replicas share the parent's instruments and scan cache: both are
-	// safe for concurrent writers, and a parallel scan should aggregate
-	// into one set of series — and one content-addressed result set —
-	// rather than fragment per replica.
-	r.ins = m.ins
-	r.cache = m.cache
-	if err := r.adoptQuantFrom(m); err != nil {
-		return nil, err
-	}
-	// The in-place parameter copy above invalidated the packs NewModel
-	// built from the fresh initialization.
-	r.packInferWeights()
+	r := new(Model)
+	*r = *m
+	r.passState = passState{ws: tensor.NewWorkspace()}
 	return r, nil
-}
-
-// syncReplica copies m's current parameter values into a cached scan
-// replica. Only the weights matter for inference; the copy is a tiny
-// fraction of a scan's cost and guarantees a replica built before a Load
-// or a training step still scans with the model's present weights.
-func (m *Model) syncReplica(r *Model) {
-	src, dst := m.Params(), r.Params()
-	for i, p := range src {
-		copy(dst[i].W.Data(), p.W.Data())
-	}
-	// Precision and calibration ride along with the weights: plans are
-	// weight-derived, and the copy above just made the replica's weights
-	// equal to m's, so sharing m's plans by reference stays exact. The
-	// trees are clones of one configuration, so Mirror cannot fail.
-	if err := r.adoptQuantFrom(m); err != nil {
-		panic(fmt.Sprintf("hsd: syncReplica quant mirror: %v", err))
-	}
-	r.packInferWeights()
 }
 
 // Save writes all model parameters to a checkpoint file.
@@ -483,7 +460,7 @@ func (m *Model) ForwardBase(x *tensor.Tensor) *BaseOutput {
 
 // InferBase is the inference-path ForwardBase: it resets the model's
 // workspace and runs the extractor and clip proposal network through the
-// allocation-free nn.Inferer path (with conv+activation fusion). The
+// allocation-free nn.Layer Infer path (with conv+activation fusion). The
 // returned BaseOutput and its tensors are owned by the model and valid
 // only until the next InferBase/Detect call. Values are bit-identical to
 // ForwardBase.
@@ -552,39 +529,18 @@ func anchorReg(set *AnchorSet, reg *tensor.Tensor, i int) geom.BoxEncoding {
 const preNMSTopK = 256
 
 // Proposals decodes, scores, bounds and h-NMS-filters the clip proposal
-// network's output into candidate clips in input-pixel coordinates. The
-// grid is inferred from the head output's spatial extent, and the pre-NMS
-// and proposal budgets scale with its cell count relative to the nominal
-// grid (both exactly 1 at the nominal size), so Proposals serves sized
-// forward passes and the training loop alike.
+// network's output into candidate clips in input-pixel coordinates — the
+// proposal step of Detect, through the same decoder and suppression, on
+// a scratch of its own and without Detect's stage spans and counters.
+// The grid is inferred from the head output's spatial extent, and the
+// pre-NMS and proposal budgets scale with its cell count relative to the
+// nominal grid (both exactly 1 at the nominal size), so Proposals serves
+// sized forward passes and the training loop alike.
 func (m *Model) Proposals(out *BaseOutput) []ScoredClip {
-	c := m.Config
 	fh, fw := out.ClsMap.Dim(2), out.ClsMap.Dim(3)
-	set := m.anchorsFor(fh, fw)
-	bounds := geom.Rect{X0: 0, Y0: 0, X1: float64(fw * FeatureStride), Y1: float64(fh * FeatureStride)}
-	base := c.FeatureSize() * c.FeatureSize()
-	ratio := (fh*fw + base - 1) / base
-	cand := make([]ScoredClip, 0, set.Len())
-	for i, anchor := range set.Boxes {
-		l0, l1 := anchorLogits(set, out.ClsMap, i)
-		score := sigmoidDiff(l1, l0)
-		box := geom.Decode(anchorReg(set, out.RegMap, i), anchor).Clip(bounds)
-		if box.W() < 2 || box.H() < 2 {
-			continue
-		}
-		cand = append(cand, ScoredClip{Clip: box, Score: score})
-	}
-	kept := m.nms(TopK(cand, preNMSTopK*ratio))
-	return TopK(kept, c.ProposalCount*ratio)
-}
-
-// nms applies the configured suppression: h-NMS (Alg. 1) by default,
-// conventional whole-clip NMS for the ablation.
-func (m *Model) nms(clips []ScoredClip) []ScoredClip {
-	if m.Config.ConventionalNMS {
-		return ConventionalNMS(clips, m.Config.NMSThreshold)
-	}
-	return HNMS(clips, m.Config.NMSThreshold)
+	s := &detectScratch{}
+	ranked, budget := m.decodeProposals(s, m.anchorsFor(fh, fw), out, fw*FeatureStride, fh*FeatureStride)
+	return TopK(m.nmsInto(s, ranked), budget)
 }
 
 // sigmoidDiff converts a two-logit pair into the hotspot probability

@@ -2,6 +2,8 @@ package hsd
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"rhsd/internal/layout"
@@ -109,4 +111,88 @@ func TestCloneProducesIdenticalDetections(t *testing.T) {
 	// the original mutated its activation caches changes nothing.
 	m.Detect(x)
 	assertSameDetections(t, "Clone after original reran", m.Detect(x), clone.Detect(x))
+}
+
+// TestConfigChangeReachesScanWorkers pins that a scan worker runs with
+// the model's present Config: after a 2-worker scan has built the
+// worker, raising the score threshold must change the next 2-worker
+// scan exactly as it changes a 1-worker scan, which runs on the model
+// itself. A worker that kept the Config it was built with would report
+// clips below the new threshold.
+func TestConfigChangeReachesScanWorkers(t *testing.T) {
+	c := TinyConfig()
+	c.ScoreThreshold = 0
+	m, err := NewModel(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := scanLayout(c)
+	scan := func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) }
+	first := detectAtWorkers(2, scan)
+	if len(first) < 2 {
+		t.Fatalf("threshold-0 scan reported %d detections, want at least 2", len(first))
+	}
+	scores := make([]float64, len(first))
+	for i, d := range first {
+		scores[i] = d.Score
+	}
+	slices.Sort(scores)
+	threshold := scores[len(scores)/2]
+	m.Config.ScoreThreshold = threshold
+
+	two := detectAtWorkers(2, scan)
+	one := detectAtWorkers(1, scan)
+	assertSameDetections(t, "scan after raising the threshold", one, two)
+	if len(one) == 0 {
+		t.Fatalf("no detection at or above threshold %v", threshold)
+	}
+	for i, d := range two {
+		if d.Score < threshold {
+			t.Fatalf("detection %d scores %v, below the threshold %v", i, d.Score, threshold)
+		}
+	}
+}
+
+// TestViewsInferConcurrently runs a model and its clone, which share
+// layers, packed weights and the int8 quantizer, concurrently in fp32
+// and in int8 (-race checks that inference writes only each view's pass
+// state), and an int8 layout scan at 2 scan workers against the 1-worker
+// scan. It stays on in -short mode so `make race` runs it.
+func TestViewsInferConcurrently(t *testing.T) {
+	m := parityModel(t)
+	rs := quantTestRasters(m.Config, 3, 81)
+	if err := m.CalibrateInt8(rs[1:]); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := rs[0]
+	for _, precision := range []string{PrecisionFP32, PrecisionInt8} {
+		for _, v := range []*Model{m, clone} {
+			if err := v.SetPrecision(precision); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := m.Detect(x)
+		var got [2][]Detection
+		var wg sync.WaitGroup
+		for i, v := range []*Model{m, clone} {
+			wg.Add(1)
+			go func(i int, v *Model) {
+				defer wg.Done()
+				got[i] = v.Detect(x)
+			}(i, v)
+		}
+		wg.Wait()
+		assertSameDetections(t, precision+" model", want, got[0])
+		assertSameDetections(t, precision+" clone", want, got[1])
+	}
+
+	l := scanLayout(m.Config)
+	scan := func() []Detection { return m.DetectLayoutMegatile(l, l.Bounds, 1) }
+	one := detectAtWorkers(1, scan)
+	two := detectAtWorkers(2, scan)
+	assertSameDetections(t, "int8 scan at 2 workers", one, two)
 }

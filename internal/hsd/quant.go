@@ -15,15 +15,6 @@ const (
 	PrecisionInt8 = "int8"
 )
 
-// quantRoots lists the stages the int8 path covers: the convolutional
-// trunk from the stem through the inception chain. The CPN heads and
-// the refinement stage stay float32 — their outputs are scores and box
-// offsets, where quantization error moves detections directly rather
-// than washing out across channels.
-func (m *Model) quantRoots() []nn.Layer {
-	return []nn.Layer{m.Stem, m.Backbone, m.EncDec, m.Inception}
-}
-
 // CalibrateInt8 calibrates the int8 trunk on the given rasters
 // (typically oracle-labeled clip regions drawn from training layouts —
 // see eval.CalibrationRasters): each raster runs a float32 pass that
@@ -31,9 +22,16 @@ func (m *Model) quantRoots() []nn.Layer {
 // weights are quantized per output channel and the dequantization plans
 // frozen. Calibration does not switch the model to int8; call
 // SetPrecision(PrecisionInt8) after. Re-calibrating replaces the
-// previous state. The model's weights must not change afterwards (Load
-// or a training step invalidates the plans); recalibrate after any
-// weight mutation.
+// previous state of this view; clones made earlier keep theirs, while
+// scan workers take the new one at their next scan. The model's weights
+// must not change afterwards (Load or a training step invalidates the
+// plans); recalibrate after any weight mutation.
+//
+// The int8 path covers the convolutional trunk from the stem through
+// the inception chain. The CPN heads and the refinement stage stay
+// float32 — their outputs are scores and box offsets, where
+// quantization error moves detections directly rather than washing out
+// across channels.
 func (m *Model) CalibrateInt8(rasters []*tensor.Tensor) error {
 	if len(rasters) == 0 {
 		return errors.New("hsd: CalibrateInt8 needs at least one calibration raster")
@@ -61,8 +59,9 @@ func (m *Model) CalibrateInt8(rasters []*tensor.Tensor) error {
 }
 
 // SetPrecision selects the trunk's numeric path: PrecisionFP32 (or "")
-// restores float32, PrecisionInt8 requires a prior CalibrateInt8.
-// Cached scan replicas pick the change up at their next sync.
+// restores float32, PrecisionInt8 requires a prior CalibrateInt8. The
+// precision is per view: clones keep their own, and scan workers take
+// this one at the start of every scan.
 func (m *Model) SetPrecision(p string) error {
 	switch p {
 	case "", PrecisionFP32:
@@ -96,22 +95,4 @@ func (m *Model) stageInfer(s *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
 		return m.quant.Infer(s, x, m.ws)
 	}
 	return s.Infer(x, m.ws)
-}
-
-// adoptQuantFrom mirrors src's precision and calibration state onto m,
-// a structurally identical replica whose weights were copied from src.
-// Quantized plans are immutable at inference time and are shared by
-// reference; only the conv-pointer mapping is rebuilt.
-func (m *Model) adoptQuantFrom(src *Model) error {
-	m.precision = src.precision
-	if src.quant == nil {
-		m.quant = nil
-		return nil
-	}
-	q, err := src.quant.Mirror(src.quantRoots(), m.quantRoots())
-	if err != nil {
-		return err
-	}
-	m.quant = q
-	return nil
 }

@@ -41,7 +41,7 @@ var stageLabels = [numStages]string{
 var StageBuckets = telemetry.ExpBuckets(0.0001, 2.5, 14)
 
 // Instruments is the preallocated telemetry bundle one Model (and all
-// its clones and scan replicas) records into. Build one per Registry
+// its clones and scan workers) records into. Build one per Registry
 // with NewInstruments at startup and attach it with Model.SetInstruments;
 // every field is safe for concurrent writers, and every observation on
 // the detection hot path is allocation-free (the AllocsPerRun guards run
@@ -64,7 +64,7 @@ type Instruments struct {
 	// Detections counts final reported hotspot clips.
 	Detections *telemetry.Counter
 	// WorkspaceBytes is the inference-workspace footprint (bytes, summed
-	// over scan replicas) as of the last layout scan on the instrumented
+	// over scan workers) as of the last layout scan on the instrumented
 	// model.
 	WorkspaceBytes *telemetry.Gauge
 
@@ -104,15 +104,10 @@ func (ins *Instruments) StageHistogram(st Stage) *telemetry.Histogram {
 }
 
 // SetInstruments attaches (or, with nil, detaches) a telemetry bundle.
-// The bundle is propagated to cached scan replicas and inherited by
-// future Clone calls, so pooled serving workers and scan replicas all
-// aggregate into the same series.
-func (m *Model) SetInstruments(ins *Instruments) {
-	m.ins = ins
-	for _, r := range m.replicas {
-		r.SetInstruments(ins)
-	}
-}
+// Future Clone calls inherit it and scan workers take it at the start of
+// every scan, so pooled serving workers and scan workers all aggregate
+// into the same series.
+func (m *Model) SetInstruments(ins *Instruments) { m.ins = ins }
 
 // Instruments returns the attached telemetry bundle, nil if disabled.
 func (m *Model) Instruments() *Instruments { return m.ins }

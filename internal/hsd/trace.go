@@ -7,8 +7,8 @@ import (
 
 // Request-trace glue for the detection pipeline: SetTrace attaches a
 // flight-recorder trace to a model for the duration of one request, and
-// workTrace hands worker replicas a per-megatile span for exactly one
-// work item. With no trace attached every hook below is a nil check,
+// workTrace hands scan workers a per-megatile span for exactly one work
+// item. With no trace attached every hook below is a nil check,
 // preserving the zero-allocation steady state (pinned by the alloc
 // guards and telemetry's TestNilTraceIsNoOp).
 
@@ -17,8 +17,8 @@ import (
 // their scan/megatile span tree beneath it. The caller owns the
 // trace's lifecycle — detach before completing the trace, since span
 // handles must not be used after Trace.Complete. Unlike instruments the
-// trace deliberately does not propagate to scan replicas; see the
-// Model.trace field comment.
+// trace is pass state, so it reaches neither clones nor scan workers;
+// see the passState.trace field comment.
 func (m *Model) SetTrace(tr *telemetry.Trace, parent *telemetry.TraceSpan) {
 	m.trace = tr
 	m.tspan = parent
@@ -35,8 +35,8 @@ var profAttrKeys = [...]string{
 	"quantize_ns",
 }
 
-// workTrace is the restore state for one traced work item on a worker
-// replica. The zero value (untraced scan) ends as a no-op.
+// workTrace is the restore state for one traced work item on a scan
+// worker. The zero value (untraced scan) ends as a no-op.
 type workTrace struct {
 	mw        *Model
 	span      *telemetry.TraceSpan
@@ -47,7 +47,7 @@ type workTrace struct {
 }
 
 // beginWorkTrace opens a megatile span under parent for one work item
-// and prepares replica mw to attribute to it: mw's stage spans parent
+// and prepares scan worker mw to attribute to it: mw's stage spans parent
 // under the new span, and mw's workspace gets a reset profile scope so
 // tensor stage time lands on this span. tr and parent are passed as
 // explicit values — not read from m — because the primary model is
@@ -78,7 +78,7 @@ func beginWorkTrace(tr *telemetry.Trace, parent *telemetry.TraceSpan, mw *Model,
 	return wt
 }
 
-// end restores the replica and closes the work span, first copying the
+// end restores the scan worker and closes the work span, first copying the
 // profile scope's non-zero stages onto it as *_ns attributes.
 func (wt workTrace) end(tr *telemetry.Trace) {
 	if wt.mw == nil {

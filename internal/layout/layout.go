@@ -20,12 +20,12 @@ import (
 	"rhsd/internal/tensor"
 )
 
-// rasterizedPixels counts every pixel allocated by Rasterize since the
-// last reset, across all goroutines. It instruments redundant-raster
-// regressions: a full-chip scan that re-rasterizes overlap strips per
-// tile shows up as a pixel count well above the window area, while the
-// megatile scan stays within window area + seam overlap (pinned by
-// TestMegatileRasterizesWindowOnce in internal/hsd).
+// rasterizedPixels counts every pixel Rasterize and RasterizeInto
+// rendered since the last reset, across all goroutines. It instruments
+// redundant-raster regressions: a full-chip scan that re-rasterizes
+// overlap strips per tile shows up as a pixel count well above the
+// window area, while the megatile scan stays within window area + seam
+// overlap (pinned by TestMegatileRasterizesWindowOnce in internal/hsd).
 var rasterizedPixels atomic.Int64
 
 // RasterizedPixels reports the pixels rasterized since the last reset.
@@ -138,18 +138,30 @@ func (l *Layout) Density(gridNM int) float64 {
 // metal when its centre lies inside any shape, which makes the raster
 // translation-consistent for shifts that are multiples of the pitch.
 func (l *Layout) Rasterize(window Rect, pitch float64) *tensor.Tensor {
+	data, h, w := l.RasterizeInto(nil, window, pitch)
+	return tensor.FromSlice(data, 1, h, w)
+}
+
+// RasterizeInto is Rasterize into buf's memory: it returns the same
+// pixels row-major in buf (grown when its capacity is short) together
+// with the raster's height and width. Callers rasterizing window after
+// window reuse one buffer instead of allocating a tensor per window.
+func (l *Layout) RasterizeInto(buf []float32, window Rect, pitch float64) (data []float32, hpx, wpx int) {
 	window = window.Canon()
 	if pitch <= 0 {
 		panic("layout: Rasterize requires positive pitch")
 	}
-	wpx := int(float64(window.W())/pitch + 0.5)
-	hpx := int(float64(window.H())/pitch + 0.5)
+	wpx = int(float64(window.W())/pitch + 0.5)
+	hpx = int(float64(window.H())/pitch + 0.5)
 	if wpx <= 0 || hpx <= 0 {
 		panic(fmt.Sprintf("layout: window %v too small for pitch %v", window, pitch))
 	}
 	rasterizedPixels.Add(int64(wpx) * int64(hpx))
-	img := tensor.New(1, hpx, wpx)
-	data := img.Data()
+	if cap(buf) < wpx*hpx {
+		buf = make([]float32, wpx*hpx)
+	}
+	data = buf[:wpx*hpx]
+	clear(data)
 	for _, r := range l.Rects {
 		if !r.Overlaps(window) {
 			continue
@@ -170,7 +182,7 @@ func (l *Layout) Rasterize(window Rect, pitch float64) *tensor.Tensor {
 			}
 		}
 	}
-	return img
+	return data, hpx, wpx
 }
 
 // pixelLo returns the first pixel whose centre (p+0.5)*pitch >= coord.

@@ -4,20 +4,18 @@ import (
 	"rhsd/internal/tensor"
 )
 
-// Inferer is the allocation-free forward path: Infer computes the same
-// values as Forward but draws all output and scratch memory from the
-// caller's Workspace, caches nothing for Backward and never mutates layer
-// state — so a layer may serve Infer calls from one goroutine while its
-// clone trains in another. Returned tensors are valid until the
+// Infer is the allocation-free forward path of every Layer: it computes
+// the same values as Forward but draws all output and scratch memory
+// from the caller's Workspace, caches nothing for Backward and writes
+// nothing to the layer — so one layer tree may serve Infer calls from
+// several goroutines at once, each with its own workspace, as long as no
+// weight mutation overlaps them. Returned tensors are valid until the
 // workspace's next Reset.
 //
 // Sequential.Infer additionally fuses Conv2D/Deconv2D + ReLU pairs into a
 // single output sweep via tensor.Epilogue; the fused sequence performs
 // the identical add-then-scale arithmetic, so Infer and Forward agree bit
 // for bit (pinned by TestInferMatchesForward).
-type Inferer interface {
-	Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
-}
 
 // Infer runs the convolution with its bias fused into the output sweep.
 func (l *Conv2D) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
@@ -97,8 +95,7 @@ func (l *Dropout) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 
 // Infer chains the layers' inference paths, fusing each Conv2D/Deconv2D
 // with an immediately following ReLU into one kernel with a fused
-// bias+activation epilogue. Layers without an Infer method fall back to
-// Forward (which allocates and caches — correct, just not free).
+// bias+activation epilogue.
 func (s *Sequential) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	for i := 0; i < len(s.Layers); i++ {
 		switch l := s.Layers[i].(type) {
@@ -121,31 +118,21 @@ func (s *Sequential) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tenso
 			}
 			x = l.Infer(x, ws)
 		default:
-			x = inferLayer(s.Layers[i], x, ws)
+			x = s.Layers[i].Infer(x, ws)
 		}
 	}
 	return x
 }
 
 // Infer runs every branch on x and concatenates along channels. The
-// branch-output scratch slice is cached on the layer; it holds only
-// workspace tensors and is overwritten on every call, so it is not
-// training state.
+// branch outputs are collected on the stack (the paper's inception
+// modules have at most four branches; append spills a wider module to
+// the heap), so the layer itself holds no inference scratch.
 func (l *ConcatBranches) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	if cap(l.inferOuts) < len(l.Branches) {
-		l.inferOuts = make([]*tensor.Tensor, len(l.Branches))
-	}
-	outs := l.inferOuts[:len(l.Branches)]
-	for i, b := range l.Branches {
-		outs[i] = inferLayer(b, x, ws)
+	var buf [4]*tensor.Tensor
+	outs := buf[:0]
+	for _, b := range l.Branches {
+		outs = append(outs, b.Infer(x, ws))
 	}
 	return tensor.ConcatChannelsInfer(ws, outs...)
-}
-
-// inferLayer dispatches to a layer's Infer when it has one, else Forward.
-func inferLayer(l Layer, x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	if inf, ok := l.(Inferer); ok {
-		return inf.Infer(x, ws)
-	}
-	return l.Forward(x)
 }

@@ -31,11 +31,14 @@ func newParam(name string, shape ...int) *Param {
 
 // Layer is a differentiable module. Forward consumes an activation and
 // caches state; Backward consumes dL/d(output) and returns dL/d(input),
-// accumulating parameter gradients along the way.
+// accumulating parameter gradients along the way. Infer is the
+// allocation-free forward path (infer.go): it writes nothing to the
+// layer, so one layer may serve Infer calls from many goroutines.
 type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(gy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
+	Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +334,7 @@ func (s *Sequential) Params() []*Param {
 type ConcatBranches struct {
 	Branches []Layer
 
-	outC      []int
-	inferOuts []*tensor.Tensor // reusable branch-output scratch for Infer
+	outC []int
 }
 
 // NewConcatBranches builds a multi-branch concat container.

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 
@@ -23,20 +22,17 @@ import (
 // every conv consumes float32 inputs and re-quantizes against its own
 // calibrated per-tensor range.
 //
-// Like the layers it walks, a Quantizer serves one inference goroutine
-// at a time; scan replicas get their own view via Mirror. The walk
-// mirrors Sequential.Infer exactly — including the Conv/Deconv+ReLU
-// fusion lookahead — so a Quantizer with no frozen plans reproduces the
-// float32 inference path bit for bit.
+// Calibration (Observe, Freeze) writes the Quantizer and runs on one
+// goroutine. A frozen Quantizer is read-only: Infer reads its plans and
+// writes only the caller's workspace, so one Quantizer serves every
+// model view that shares the calibrated layers, from any number of
+// goroutines. The walk mirrors Sequential.Infer exactly — including the
+// Conv/Deconv+ReLU fusion lookahead — so a Quantizer with no frozen
+// plans reproduces the float32 inference path bit for bit.
 type Quantizer struct {
 	order  []*Conv2D // deterministic walk order, for Freeze and signatures
 	ranges map[*Conv2D]*tensor.QuantRange
 	plans  map[*Conv2D]*tensor.QConvPlan
-	// outs is the quantized walk's equivalent of ConcatBranches'
-	// cached inferOuts scratch: allocated on first visit, reused after,
-	// holding only workspace tensors — keeps the int8 path inside the
-	// steady-state allocation budget.
-	outs   map[*ConcatBranches][]*tensor.Tensor
 	frozen bool
 }
 
@@ -45,7 +41,6 @@ func NewQuantizer() *Quantizer {
 	return &Quantizer{
 		ranges: make(map[*Conv2D]*tensor.QuantRange),
 		plans:  make(map[*Conv2D]*tensor.QConvPlan),
-		outs:   make(map[*ConcatBranches][]*tensor.Tensor),
 	}
 }
 
@@ -112,58 +107,6 @@ func (q *Quantizer) WriteSignature(w io.Writer) {
 	}
 }
 
-// Mirror maps q's frozen state onto dst, a structurally identical
-// replica of the trees q was calibrated on (src and dst are the
-// corresponding lists of roots, e.g. a model's stages). Plans are
-// immutable at inference time and weight-derived — a replica whose
-// weights were copied from the source model shares them by reference —
-// so mirroring costs one tree walk, with no recalibration or repacking.
-func (q *Quantizer) Mirror(src, dst []Layer) (*Quantizer, error) {
-	if !q.frozen {
-		return nil, fmt.Errorf("nn: Mirror of an unfrozen Quantizer")
-	}
-	var srcConvs, dstConvs []*Conv2D
-	for _, l := range src {
-		collectConvs(l, &srcConvs)
-	}
-	for _, l := range dst {
-		collectConvs(l, &dstConvs)
-	}
-	if len(srcConvs) != len(dstConvs) {
-		return nil, fmt.Errorf("nn: Mirror conv count mismatch %d vs %d", len(srcConvs), len(dstConvs))
-	}
-	r := NewQuantizer()
-	r.frozen = true
-	for i, sc := range srcConvs {
-		dc := dstConvs[i]
-		if sc.In != dc.In || sc.Out != dc.Out || sc.Opts != dc.Opts {
-			return nil, fmt.Errorf("nn: Mirror conv %d geometry mismatch (%q vs %q)",
-				i, sc.Weight.Name, dc.Weight.Name)
-		}
-		if p := q.plans[sc]; p != nil {
-			r.order = append(r.order, dc)
-			r.plans[dc] = p
-		}
-	}
-	return r, nil
-}
-
-// collectConvs appends every Conv2D reachable from l in walk order.
-func collectConvs(l Layer, dst *[]*Conv2D) {
-	switch t := l.(type) {
-	case *Conv2D:
-		*dst = append(*dst, t)
-	case *Sequential:
-		for _, inner := range t.Layers {
-			collectConvs(inner, dst)
-		}
-	case *ConcatBranches:
-		for _, b := range t.Branches {
-			collectConvs(b, dst)
-		}
-	}
-}
-
 // walk dispatches one layer through the quantization-aware inference
 // traversal. quant=false is the calibration pass (float32 compute,
 // range taps before each conv); quant=true is the int8 pass.
@@ -176,7 +119,7 @@ func (q *Quantizer) walk(l Layer, x *tensor.Tensor, ws *tensor.Workspace, quant 
 	case *Conv2D:
 		return q.conv(t, x, ws, quant, tensor.Epilogue{Bias: t.Bias.W})
 	default:
-		return inferLayer(l, x, ws)
+		return l.Infer(x, ws)
 	}
 }
 
@@ -213,24 +156,19 @@ func (q *Quantizer) walkSeq(s *Sequential, x *tensor.Tensor, ws *tensor.Workspac
 		case *ConcatBranches:
 			x = q.walkConcat(l, x, ws, quant)
 		default:
-			x = inferLayer(s.Layers[i], x, ws)
+			x = s.Layers[i].Infer(x, ws)
 		}
 	}
 	return x
 }
 
-// walkConcat mirrors ConcatBranches.Infer with branches routed through
-// q.walk. Branch scratch lives on the Quantizer (not the layer) so a
-// quantized walk never races the layer's own inferOuts cache.
+// walkConcat mirrors ConcatBranches.Infer, branch outputs on the stack
+// included, with branches routed through q.walk.
 func (q *Quantizer) walkConcat(l *ConcatBranches, x *tensor.Tensor, ws *tensor.Workspace, quant bool) *tensor.Tensor {
-	outs := q.outs[l]
-	if cap(outs) < len(l.Branches) {
-		outs = make([]*tensor.Tensor, len(l.Branches))
-		q.outs[l] = outs
-	}
-	outs = outs[:len(l.Branches)]
-	for i, b := range l.Branches {
-		outs[i] = q.walk(b, x, ws, quant)
+	var buf [4]*tensor.Tensor
+	outs := buf[:0]
+	for _, b := range l.Branches {
+		outs = append(outs, q.walk(b, x, ws, quant))
 	}
 	return tensor.ConcatChannelsInfer(ws, outs...)
 }

@@ -108,38 +108,6 @@ func TestQuantizerObserveMatchesInfer(t *testing.T) {
 	}
 }
 
-// TestQuantizerMirror checks a mirrored Quantizer drives a structurally
-// identical replica to bit-identical int8 outputs.
-func TestQuantizerMirror(t *testing.T) {
-	net := quantTestNet(9)
-	replica := quantTestNet(9) // same seed: identical weights
-	x := quantTestInput(10)
-	ws := tensor.NewWorkspace()
-
-	q := NewQuantizer()
-	q.Observe(net, x, ws)
-	q.Freeze()
-	want := append([]float32(nil), q.Infer(net, x, ws).Data()...)
-
-	mq, err := q.Mirror([]Layer{net}, []Layer{replica})
-	if err != nil {
-		t.Fatalf("Mirror: %v", err)
-	}
-	if mq.NumQuantized() != q.NumQuantized() {
-		t.Fatalf("mirrored %d plans, want %d", mq.NumQuantized(), q.NumQuantized())
-	}
-	got := mq.Infer(replica, x, tensor.NewWorkspace()).Data()
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("element %d: mirror %v vs source %v", i, got[i], want[i])
-		}
-	}
-
-	if _, err := q.Mirror([]Layer{net}, []Layer{NewSequential()}); err == nil {
-		t.Error("Mirror accepted a structurally different destination")
-	}
-}
-
 // TestQuantizerSignature checks the calibration signature is
 // deterministic and sensitive to the calibration data.
 func TestQuantizerSignature(t *testing.T) {

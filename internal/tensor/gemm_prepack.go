@@ -28,38 +28,28 @@ import (
 // is retained by reference, so a stale PackedB is one whose panels
 // disagree with raw. nn.Dense owns that lifecycle for layer weights
 // (packs are invalidated by Backward and rebuilt at every weight
-// mutation point — see DESIGN §17). Like a Workspace, a PackedB is for
-// single-goroutine use: panels for kernels beyond the build-time one
-// are added lazily on first use.
+// mutation point — see DESIGN §17). A PackedB holds one panel set, laid
+// out for the kernel active at PackB, and is never written after it:
+// GemmPreB under any other kernel packs B per call exactly as Gemm does,
+// so a kernel swap needs no rebuild, and any number of goroutines may
+// share one PackedB.
 type PackedB struct {
-	trans bool
-	k, n  int
-	raw   []float32
-	packs map[string][]float32 // kernel name → packed panel data
+	trans  bool
+	k, n   int
+	raw    []float32
+	kr     *gemmKernel // the kernel panels is laid out for
+	panels []float32
 }
 
 // PackB packs op(B) — b stored k×n, or n×k when trans — for reuse
-// across GemmPreB calls. Panels for the currently active kernel are
-// built eagerly (the common steady state); other kernels pack lazily on
-// first use, so forcing a kernel via RHSD_GEMM_KERNEL or SetGemmKernel
-// never needs a rebuild and never pays for the kernels it doesn't run.
+// across GemmPreB calls, in the panel geometry of the active kernel.
 func PackB(trans bool, k, n int, b []float32) *PackedB {
 	if len(b) < k*n {
 		panic(fmt.Sprintf("tensor: PackB matrix has %d elements, need %d", len(b), k*n))
 	}
-	pb := &PackedB{trans: trans, k: k, n: n, raw: b, packs: make(map[string][]float32)}
-	pb.ensure(gemmActive.Load())
+	pb := &PackedB{trans: trans, k: k, n: n, raw: b, kr: gemmActive.Load()}
+	pb.panels = pb.packFor(pb.kr)
 	return pb
-}
-
-// ensure returns the panel data for kr, packing it on first use.
-func (pb *PackedB) ensure(kr *gemmKernel) []float32 {
-	if p, ok := pb.packs[kr.name]; ok {
-		return p
-	}
-	p := pb.packFor(kr)
-	pb.packs[kr.name] = p
-	return p
 }
 
 // packFor lays op(B) out in kr's panel geometry, column block by column
@@ -109,24 +99,17 @@ func GemmPreBScoped(sc *ProfileScope, transA bool, m, n, k int, alpha float32, a
 	if pb.k != k || pb.n != n {
 		panic(fmt.Sprintf("tensor: GemmPreB packed for %dx%d, called with k=%d n=%d", pb.k, pb.n, k, n))
 	}
-	if len(c) < m*n {
-		panic("tensor: Gemm output buffer too small")
-	}
-	if m == 0 || n == 0 {
+	// Only a packed product under the kernel the panels were laid out for
+	// can use them; everything else — degenerate, row-routed, or another
+	// kernel's geometry — is exactly Gemm over the retained raw matrix.
+	if kr := gemmActive.Load(); kr == pb.kr && alpha != 0 && gemmUsesPacked(m, n, k) {
+		if len(c) < m*n {
+			panic("tensor: Gemm output buffer too small")
+		}
+		gemmPackedPre(kr, sc, transA, m, n, k, alpha, a, pb.panels, beta, c)
 		return
 	}
-	if k == 0 || alpha == 0 {
-		scaleRows(c, m*n, beta)
-		return
-	}
-	if !gemmUsesPacked(m, n, k) {
-		on, t0 := profStart()
-		gemmRows(transA, pb.trans, 0, m, m, n, k, alpha, a, pb.raw, beta, c)
-		profEnd(on, sc, profGemmRows, t0)
-		return
-	}
-	kr := gemmActive.Load()
-	gemmPackedPre(kr, sc, transA, m, n, k, alpha, a, pb.ensure(kr), beta, c)
+	GemmScoped(sc, transA, pb.trans, m, n, k, alpha, a, pb.raw, beta, c)
 }
 
 // gemmPackedPre is gemmPackedWith minus the B packing: A is packed per

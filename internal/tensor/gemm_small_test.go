@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -158,10 +159,10 @@ func TestGemmPreBMatchesGemm(t *testing.T) {
 	}
 }
 
-// TestGemmPreBAcrossKernelSwitch checks the lazy per-kernel packing: a
-// PackedB built under one kernel must produce correct (bit-identical to
-// Gemm) results after SetGemmKernel switches the active kernel, packing
-// the new geometry on first use.
+// TestGemmPreBAcrossKernelSwitch checks a kernel swap after PackB: a
+// PackedB built under one kernel must produce results bit-identical to
+// Gemm under every kernel SetGemmKernel switches to (the build-time
+// kernel reads the stored panels, the others pack B per call).
 func TestGemmPreBAcrossKernelSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	origKernel := GemmKernel()
@@ -187,6 +188,48 @@ func TestGemmPreBAcrossKernelSwitch(t *testing.T) {
 		Gemm(false, false, m, n, k, 1, a, b, 0, want)
 		GemmPreB(false, m, n, k, 1, a, pb, 0, got)
 		assertBitIdentical(t, kr.name+" after switch", want, got)
+	}
+}
+
+// TestGemmPreBSharedAfterKernelSwap runs one PackedB from two goroutines
+// after SetGemmKernel has switched away from the kernel it was packed
+// for: a PackedB is never written after PackB, so under -race this is
+// clean, and each result is bit-equal to Gemm under the new kernel.
+func TestGemmPreBSharedAfterKernelSwap(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	origKernel := GemmKernel()
+	defer SetGemmKernel(origKernel)
+	m, n, k := 8, 96, 96 // past the packed cutoff
+	a := randSlice(rng, m*k)
+	b := randSlice(rng, k*n)
+	pb := PackB(false, k, n, b)
+	other := ""
+	for _, kr := range availableKernels(t) {
+		if kr.name != origKernel {
+			other = kr.name
+			break
+		}
+	}
+	if other == "" {
+		t.Skip("need a second usable kernel")
+	}
+	if _, err := SetGemmKernel(other); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float32, m*n)
+	Gemm(false, false, m, n, k, 1, a, b, 0, want)
+	got := [2][]float32{make([]float32, m*n), make([]float32, m*n)}
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(c []float32) {
+			defer wg.Done()
+			GemmPreB(false, m, n, k, 1, a, pb, 0, c)
+		}(got[g])
+	}
+	wg.Wait()
+	for g, c := range got {
+		assertBitIdentical(t, fmt.Sprintf("%s goroutine %d", other, g), want, c)
 	}
 }
 
@@ -266,7 +309,7 @@ func BenchmarkGemmSmallShapeSweep(b *testing.B) {
 		kr := gemmActive.Load()
 		b.Run(name+"/prepacked", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPackedPre(kr, nil, false, m, n, k, 1, a, pb.ensure(kr), 0, c)
+				gemmPackedPre(kr, nil, false, m, n, k, 1, a, pb.panels, 0, c)
 			}
 		})
 	}

@@ -20,9 +20,9 @@ package tensor
 //   - Get returns dirty memory. Kernels writing into workspace tensors
 //     must store every element (or use GetZeroed where they accumulate).
 //   - A Workspace is not safe for concurrent use. Every goroutine that
-//     runs inference owns its own Workspace — the megatile scan's
-//     per-replica models each carry one, which is what keeps the parallel
-//     scan race-free.
+//     runs inference owns its own Workspace — each megatile scan worker's
+//     model view carries one, which is what keeps the parallel scan
+//     race-free.
 //
 // All methods accept a nil receiver and fall back to plain allocation,
 // so code paths can be written once and run with or without an arena.
