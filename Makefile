@@ -54,15 +54,16 @@ obs-smoke:
 
 # Result-cache smoke: the content-addressed cache unit suite, the layout
 # diff edge cases, the differential cached/incremental/cold scan harness
-# (short mode), and a brief run of the cache-key fuzzer's corpus.
+# (short mode), the cancelled-scan test (cache state after a stop at each
+# megatile boundary), and a brief run of the cache-key fuzzer's corpus.
 cache-smoke:
 	$(GO) test -short -count=1 ./internal/scancache
 	$(GO) test -short -count=1 -run 'Diff|Dirty' ./internal/layout
-	$(GO) test -short -count=1 -run 'Cache|Rescan|Diff|Dirty|Adversarial|WeightChange' ./internal/hsd
+	$(GO) test -short -count=1 -run 'Cache|Rescan|Diff|Dirty|Adversarial|WeightChange|Cancel' ./internal/hsd
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=30x ./internal/hsd
 
-# Flight-recorder smoke: the span-tree unit suite (ring semantics, span
-# pooling, bounded drops, traceparent), the traced-scan shape and
+# Flight-recorder smoke: the span-tree unit suite (ring semantics,
+# snapshot isolation, bounded drops, traceparent), the traced-scan shape and
 # per-span profile-parity tests, the concurrent hammer under -race, and
 # the serve selftest — which asserts end to end that a /detect request
 # produces a retrievable trace with queue-wait, scan, megatile and

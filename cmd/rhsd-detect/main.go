@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -158,24 +159,25 @@ func main() {
 	// -trace-dump records the scan into a one-slot flight recorder — the
 	// same span tree rhsd-serve retains per request — and prints it as an
 	// aligned text timeline, one line per megatile with its stage times.
+	ctx := context.Background()
 	var tr *telemetry.Trace
 	if *traceDump {
 		tensor.SetProfiling(true)
 		tr = telemetry.NewFlightRecorder(1).StartTrace("detect", "cli", "")
-		m.SetTrace(tr, tr.Root())
+		ctx = telemetry.ContextWithTrace(ctx, tr)
 	}
 
-	factor := *megatile
-	if factor == 0 {
-		factor = m.AutoMegatileFactor(l.Bounds, int64(*megatileMem)<<20)
-		fmt.Fprintf(os.Stderr, "rhsd-detect: auto megatile factor %d (budget %d MiB)\n", factor, *megatileMem)
+	req := hsd.ScanRequest{Layout: l, Window: l.Bounds, Factor: *megatile}
+	if req.Factor == 0 {
+		req.Factor = m.AutoMegatileFactor(l.Bounds, int64(*megatileMem)<<20)
+		fmt.Fprintf(os.Stderr, "rhsd-detect: auto megatile factor %d (budget %d MiB)\n", req.Factor, *megatileMem)
 	}
-	dets, err := m.DetectLayoutMegatileChecked(l, l.Bounds, factor)
+	res, err := m.Scan(ctx, req)
 	if err != nil {
 		fatal(err)
 	}
+	dets := res.Detections
 	if tr != nil {
-		m.SetTrace(nil, nil)
 		tr.Complete()
 		tr.Snapshot().RenderText(os.Stderr)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -88,8 +89,17 @@ func main() {
 	// incremental and cold scans are bit-identical.
 	chipBefore := stitch(data.Test, nil, p.RegionNM)
 	chipAfter := stitch(data.Test, fixedFirst, p.RegionNM)
-	scan := model.ScanLayoutMegatile(chipBefore, chipBefore.Bounds, 1)
-	rescan := model.RescanLayoutMegatile(scan, chipAfter, layout.Diff(chipBefore, chipAfter))
+	scan, err := model.Scan(context.Background(), hsd.ScanRequest{Layout: chipBefore, Window: chipBefore.Bounds, Factor: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rescan, err := model.Scan(context.Background(), hsd.ScanRequest{
+		Layout: chipAfter, Window: chipAfter.Bounds, Factor: 1,
+		Prev: scan, Dirty: layout.Diff(chipBefore, chipAfter),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nchip scan: %d detections over %d megatiles\n", len(scan.Detections), scan.TilesScanned)
 	fmt.Printf("after the region-0 fix: %d rescanned, %d reused → %d detections\n",
 		rescan.TilesScanned, rescan.TilesReused, len(rescan.Detections))

@@ -159,16 +159,15 @@ func SyntheticCalibration(cfg hsd.Config, n int) []*tensor.Tensor {
 }
 
 // evalOursPrecision runs EvalOurs over every case under the given
-// precision, restoring the model's previous precision after.
+// precision, on a view of m, so m itself is left as it was.
 func evalOursPrecision(m *hsd.Model, data *Data, precision string) (metrics.Outcome, error) {
-	prev := m.Precision()
-	if err := m.SetPrecision(precision); err != nil {
+	v, _ := m.Clone() // a view: Clone cannot fail
+	if err := v.SetPrecision(precision); err != nil {
 		return metrics.Outcome{}, err
 	}
-	defer m.SetPrecision(prev)
 	var total metrics.Outcome
 	for _, ds := range data.Cases {
-		total.Add(EvalOurs(m, ds.Test))
+		total.Add(EvalOurs(v, ds.Test))
 	}
 	return total, nil
 }

@@ -18,16 +18,15 @@ import (
 
 // CollectOursResults runs the R-HSD detector with an opened-up threshold
 // over the regions and returns scored per-region results for ROC
-// sweeping.
+// sweeping. The threshold is opened on a view of m, so m itself is left
+// as it was.
 func CollectOursResults(m *hsd.Model, regions []*dataset.Region) []metrics.RegionResult {
-	cfg := m.Config
-	orig := m.Config.ScoreThreshold
-	m.Config.ScoreThreshold = 0.01
-	defer func() { m.Config.ScoreThreshold = orig }()
+	v, _ := m.Clone() // a view: Clone cannot fail
+	v.Config.ScoreThreshold = 0.01
 	var out []metrics.RegionResult
 	for _, r := range regions {
-		sample := hsd.MakeSample(r.Layout, nil, cfg)
-		dets := m.DetectionsNM(m.Detect(sample.Raster))
+		sample := hsd.MakeSample(r.Layout, nil, m.Config)
+		dets := v.DetectionsNM(v.Detect(sample.Raster))
 		md := make([]metrics.Detection, len(dets))
 		for i, d := range dets {
 			md[i] = metrics.Detection{Clip: d.Clip, Score: d.Score}
@@ -38,26 +37,25 @@ func CollectOursResults(m *hsd.Model, regions []*dataset.Region) []metrics.Regio
 }
 
 // CollectTCADResults opens up the TCAD detector's bias so every window's
-// score survives to the sweep.
+// score survives to the sweep, on a copy of d sharing its network.
 func CollectTCADResults(d *tcad.Detector, regions []*dataset.Region) []metrics.RegionResult {
-	orig := d.Config.Bias
-	d.Config.Bias = 0.49 // accept essentially everything; sweep filters
-	defer func() { d.Config.Bias = orig }()
+	open := *d
+	open.Config.Bias = 0.49 // accept essentially everything; sweep filters
 	var out []metrics.RegionResult
 	for _, r := range regions {
-		out = append(out, metrics.RegionResult{Dets: d.DetectRegion(r), GT: r.HotspotPoints()})
+		out = append(out, metrics.RegionResult{Dets: open.DetectRegion(r), GT: r.HotspotPoints()})
 	}
 	return out
 }
 
-// CollectSSDResults opens up the SSD score threshold for ROC sweeping.
+// CollectSSDResults opens up the SSD score threshold for ROC sweeping,
+// on a copy of d sharing its network.
 func CollectSSDResults(d *ssd.Detector, regions []*dataset.Region, clipNM float64) []metrics.RegionResult {
-	orig := d.Config.ScoreThresh
-	d.Config.ScoreThresh = 0.01
-	defer func() { d.Config.ScoreThresh = orig }()
+	open := *d
+	open.Config.ScoreThresh = 0.01
 	var out []metrics.RegionResult
 	for _, r := range regions {
-		out = append(out, metrics.RegionResult{Dets: d.DetectRegion(r, clipNM), GT: r.HotspotPoints()})
+		out = append(out, metrics.RegionResult{Dets: open.DetectRegion(r, clipNM), GT: r.HotspotPoints()})
 	}
 	return out
 }

@@ -41,8 +41,8 @@ func NewDetCache(maxBytes int64) *DetCache {
 }
 
 // SetScanCache attaches (or, with nil, detaches) a megatile result cache.
-// The cache is consulted by DetectLayoutMegatile, ScanLayoutMegatile and
-// RescanLayoutMegatile before each megatile forward pass; a *DetCache is
+// The cache is consulted by Scan, DetectLayoutMegatile and
+// ScanLayoutMegatile before each megatile forward pass; a *DetCache is
 // safe for concurrent use, so one cache is typically shared across a
 // serving pool's workers (every clone inherits the attachment, and scan
 // workers take it at the start of every scan). Detached models scan
@@ -54,15 +54,19 @@ func (m *Model) SetScanCache(c *DetCache) { m.cache = c }
 func (m *Model) ScanCache() *DetCache { return m.cache }
 
 // WeightsVersion digests everything that, besides the raster, determines
-// Detect's output: the configuration and every parameter value, in
-// Params() order. It is recomputed on each call rather than cached with
-// invalidation hooks — a stale version is the one failure mode of a
-// content-addressed cache that produces silently wrong detections (a hit
-// under different weights), and no mutation path (Load, a training step,
-// direct parameter writes in tests) can outrun a fresh hash. The cost is
-// one SHA-256 pass over the parameters per layout scan — not per
-// megatile — which is noise next to a single forward pass.
-func (m *Model) WeightsVersion() [sha256.Size]byte {
+// Detect's output: the configuration, the view's precision and every
+// parameter value, in Params() order. It is recomputed on each call
+// rather than cached with invalidation hooks — a stale version is the
+// one failure mode of a content-addressed cache that produces silently
+// wrong detections (a hit under different weights), and no mutation path
+// (Load, a training step, direct parameter writes in tests) can outrun a
+// fresh hash. The cost is one SHA-256 pass over the parameters per
+// layout scan — not per megatile — which is noise next to a single
+// forward pass.
+func (m *Model) WeightsVersion() [sha256.Size]byte { return m.weightsVersion(m.Precision()) }
+
+// weightsVersion is WeightsVersion for a pass on the numeric path prec.
+func (m *Model) weightsVersion(prec string) [sha256.Size]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "%+v", m.Config)
 	// The numeric path is part of the output contract: int8 and fp32
@@ -71,8 +75,8 @@ func (m *Model) WeightsVersion() [sha256.Size]byte {
 	// each quantized conv's input scale and zero point — folds in too,
 	// since two int8 models with equal weights but different calibration
 	// data produce different detections.
-	fmt.Fprintf(h, ";precision=%s", m.Precision())
-	if m.Precision() == PrecisionInt8 && m.quant != nil {
+	fmt.Fprintf(h, ";precision=%s", prec)
+	if prec == PrecisionInt8 && m.quant != nil {
 		m.quant.WriteSignature(h)
 	}
 	var buf [4096]byte
@@ -122,19 +126,19 @@ func RasterKey(raster *tensor.Tensor, version [sha256.Size]byte) scancache.Key {
 	return key
 }
 
-// cachedDetect runs one megatile forward pass through the attached
-// cache: a content hit returns the stored detections (a private copy)
-// without touching the network; a miss runs Detect on the scan worker
-// mw and retains the result. useCache=false (detached cache, or a path
-// that skipped version hashing) is a plain Detect call. The second
-// return reports how the lookup was served (OutcomeNone when no cache
-// was consulted) — request traces stamp it on the megatile's span.
-func (m *Model) cachedDetect(mw *Model, raster *tensor.Tensor, version [sha256.Size]byte, useCache bool) ([]Detection, scancache.Outcome) {
-	if !useCache {
-		return mw.Detect(raster), scancache.OutcomeNone
+// cachedDetect runs one megatile forward pass at precision prec through
+// the attached cache: a content hit returns the stored detections (a
+// private copy) without touching the network; a miss runs the pass on
+// the scan worker mw and retains the result. With no cache attached it
+// is a plain pass. The second return reports how the lookup was served
+// (OutcomeNone when no cache was consulted) — request traces stamp it
+// on the megatile's span.
+func (m *Model) cachedDetect(mw *Model, raster *tensor.Tensor, prec string, version [sha256.Size]byte) ([]Detection, scancache.Outcome) {
+	if m.cache == nil {
+		return mw.detect(raster, prec), scancache.OutcomeNone
 	}
 	key := RasterKey(raster, version)
 	return m.cache.GetOrComputeOutcome(key, func() []Detection {
-		return mw.Detect(raster)
+		return mw.detect(raster, prec)
 	})
 }

@@ -1,6 +1,7 @@
 package hsd
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -57,6 +58,19 @@ func coldThenWarm(t *testing.T, m *Model, cache *DetCache, l *layout.Layout, win
 	assertSameDetections(t, label+": cold vs cache-fill", cold, fill)
 	assertSameDetections(t, label+": cold vs warm", cold, warm)
 	return cold
+}
+
+// rescan re-scans l through Scan with prev as its Prev and the given
+// dirty rects, at prev's window and factor and the view's precision.
+func rescan(t *testing.T, m *Model, prev *ScanResult, l *layout.Layout, dirty []layout.Rect) *ScanResult {
+	t.Helper()
+	res, err := m.Scan(context.Background(), ScanRequest{
+		Layout: l, Window: prev.Window(), Factor: prev.Factor(), Prev: prev, Dirty: dirty,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestCachedScanBitIdenticalUntrained(t *testing.T) {
@@ -135,7 +149,7 @@ func TestIncrementalRescanBitIdentical(t *testing.T) {
 	if len(dirty) != 1 {
 		t.Fatalf("diff %v, want the one added blob", dirty)
 	}
-	inc := m.RescanLayoutMegatile(res, edited, dirty)
+	inc := rescan(t, m, res, edited, dirty)
 	if inc.TilesScanned != 1 || inc.TilesReused != 3 {
 		t.Fatalf("rescan counted %d scanned / %d reused, want 1 / 3", inc.TilesScanned, inc.TilesReused)
 	}
@@ -143,7 +157,7 @@ func TestIncrementalRescanBitIdentical(t *testing.T) {
 	assertSameDetections(t, "incremental vs cold", cold, inc.Detections)
 
 	// The rescan result must itself seed further rescans.
-	inc2 := m.RescanLayoutMegatile(inc, edited, nil)
+	inc2 := rescan(t, m, inc, edited, nil)
 	assertSameDetections(t, "rescan of rescan", cold, inc2.Detections)
 }
 
@@ -153,7 +167,7 @@ func TestEmptyDiffRasterizesNothing(t *testing.T) {
 	res := m.ScanLayoutMegatile(l, win, 1)
 
 	layout.ResetRasterizedPixels()
-	same := m.RescanLayoutMegatile(res, l, layout.Diff(l, l))
+	same := rescan(t, m, res, l, layout.Diff(l, l))
 	if px := layout.RasterizedPixels(); px != 0 {
 		t.Fatalf("empty diff rasterized %d pixels, want 0", px)
 	}
@@ -182,7 +196,7 @@ func TestDirtyRectOnSeamInvalidatesBothTiles(t *testing.T) {
 	edited.Add(layout.R(seamX-p, spec.RegionNM/4, seamX+p, spec.RegionNM/4+p))
 
 	dirty := layout.Diff(l, edited)
-	inc := m.RescanLayoutMegatile(res, edited, dirty)
+	inc := rescan(t, m, res, edited, dirty)
 	if inc.TilesScanned != 2 || inc.TilesReused != 2 {
 		t.Fatalf("seam edit scanned %d / reused %d, want 2 / 2", inc.TilesScanned, inc.TilesReused)
 	}
@@ -209,7 +223,7 @@ func TestDirtyRectInHaloInvalidatesOwningTile(t *testing.T) {
 	edited.Rects = append(edited.Rects, l.Rects...)
 	edited.Add(layout.R(spec.RegionNM-p, spec.RegionNM/4, spec.RegionNM, spec.RegionNM/4+p))
 
-	inc := m.RescanLayoutMegatile(res, edited, layout.Diff(l, edited))
+	inc := rescan(t, m, res, edited, layout.Diff(l, edited))
 	if inc.TilesScanned != 2 || inc.TilesReused != 2 {
 		t.Fatalf("halo edit scanned %d / reused %d, want 2 / 2", inc.TilesScanned, inc.TilesReused)
 	}
@@ -220,7 +234,7 @@ func TestDirtyRectInHaloInvalidatesOwningTile(t *testing.T) {
 	interior := layout.New(win)
 	interior.Rects = append(interior.Rects, l.Rects...)
 	interior.Add(layout.R(spec.RegionNM/2, spec.RegionNM/2, spec.RegionNM/2+p, spec.RegionNM/2+p))
-	inc2 := m.RescanLayoutMegatile(res, interior, layout.Diff(l, interior))
+	inc2 := rescan(t, m, res, interior, layout.Diff(l, interior))
 	if inc2.TilesScanned != 1 || inc2.TilesReused != 3 {
 		t.Fatalf("interior edit scanned %d / reused %d, want 1 / 3", inc2.TilesScanned, inc2.TilesReused)
 	}
@@ -238,7 +252,7 @@ func TestWeightChangeInvalidatesRescan(t *testing.T) {
 	// cache entries.
 	w := m.Params()[0].W.Data()
 	w[0] += 0.25
-	inc := m.RescanLayoutMegatile(res, l, nil)
+	inc := rescan(t, m, res, l, nil)
 	if inc.TilesScanned != 4 || inc.TilesReused != 0 {
 		t.Fatalf("post-weight-change rescan scanned %d / reused %d, want 4 / 0", inc.TilesScanned, inc.TilesReused)
 	}

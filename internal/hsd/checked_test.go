@@ -1,6 +1,7 @@
 package hsd
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -12,17 +13,28 @@ import (
 	"rhsd/internal/tensor"
 )
 
+// TestDetectLayoutCheckedValidates pins Scan's input validation: each
+// request a caller can plausibly get wrong returns an ErrBadInput-tagged
+// error and no result.
 func TestDetectLayoutCheckedValidates(t *testing.T) {
 	m := parityModel(t)
-	if _, err := m.DetectLayoutMegatileChecked(nil, layout.R(0, 0, 100, 100), 2); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("nil layout: err = %v", err)
-	}
 	l := layout.New(layout.R(0, 0, 100, 100))
-	if _, err := m.DetectLayoutMegatileChecked(l, layout.R(5, 5, 5, 9), 1); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("empty window: err = %v", err)
+	for _, tc := range []struct {
+		name string
+		req  ScanRequest
+	}{
+		{"nil layout", ScanRequest{Window: layout.R(0, 0, 100, 100), Factor: 2}},
+		{"empty window", ScanRequest{Layout: l, Window: layout.R(5, 5, 5, 9), Factor: 1}},
+		{"unknown precision", ScanRequest{Layout: l, Window: l.Bounds, Precision: "fp16"}},
+		{"uncalibrated int8", ScanRequest{Layout: l, Window: l.Bounds, Precision: PrecisionInt8}},
+	} {
+		if res, err := m.Scan(context.Background(), tc.req); !errors.Is(err, ErrBadInput) || res != nil {
+			t.Fatalf("%s: res = %v, err = %v", tc.name, res, err)
+		}
 	}
 }
 
+// TestDetectCheckedConvertsPanics pins Scan's panic boundary.
 func TestDetectCheckedConvertsPanics(t *testing.T) {
 	m := parityModel(t)
 	// Corrupt internal state so the kernel panics (nil anchor set): the
@@ -31,7 +43,7 @@ func TestDetectCheckedConvertsPanics(t *testing.T) {
 	// goroutine, where guard.Run can recover the panic.
 	m.Anchors = nil
 	l := layout.New(layout.R(0, 0, m.Config.RegionNM(), m.Config.RegionNM()))
-	_, err := m.DetectLayoutMegatileChecked(l, l.Bounds, 1)
+	_, err := m.Scan(context.Background(), ScanRequest{Layout: l, Window: l.Bounds, Factor: 1})
 	var pe *guard.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *guard.PanicError", err)

@@ -1,6 +1,7 @@
 package hsd
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -97,8 +98,12 @@ func (m *Model) decodeProposals(s *detectScratch, set *AnchorSet, out *BaseOutpu
 // come from the per-model workspace (reset on entry), candidate and NMS
 // buffers from the model's scratch. Results are bit-identical to the
 // training-path ForwardBase/Proposals/RefineForward composition; the
-// only steady-state heap allocation is the returned []Detection.
-func (m *Model) Detect(x *tensor.Tensor) []Detection {
+// only steady-state heap allocation is the returned []Detection. The
+// trunk runs at the view's precision (SetPrecision).
+func (m *Model) Detect(x *tensor.Tensor) []Detection { return m.detect(x, m.Precision()) }
+
+// detect is Detect with the trunk on the numeric path prec.
+func (m *Model) detect(x *tensor.Tensor, prec string) []Detection {
 	c := m.Config
 	s := &m.scratch
 	ins := m.ins
@@ -106,7 +111,7 @@ func (m *Model) Detect(x *tensor.Tensor) []Detection {
 		ins.DetectPasses.Inc()
 	}
 	h, w := x.Dim(2), x.Dim(3)
-	out := m.InferBase(x)
+	out := m.inferBase(x, prec)
 	sp := m.stageSpan(StagePruning)
 	ranked, budget := m.decodeProposals(s, m.anchorsFor(h/FeatureStride, w/FeatureStride), out, w, h)
 	sp.End()
@@ -210,14 +215,19 @@ func (m *Model) Detect(x *tensor.Tensor) []Detection {
 // each driving its own view of the model: m itself and cached scan
 // workers (Clone views kept in m.replicas). At the start of every scan
 // each worker is refreshed from m with one struct copy that keeps only
-// its own pass state, so it runs with m's present Config, precision,
-// quantizer, instruments and cache, and the layers and weights are m's
-// own. Work items are claimed from a shared counter; callers store
-// per-item results in a slice indexed by i so output order — and
-// therefore the final merge — is identical for every worker count. scan
-// receives the worker slot w driving it (0 = the primary model) so
-// traced scans can attribute each work item to the worker that ran it.
-func (m *Model) scanReplicated(n int, scan func(mw *Model, w, i int)) {
+// its own pass state, so it runs with m's present Config, quantizer,
+// instruments and cache, and the layers and weights are m's own. Work
+// items are claimed from a shared counter; callers store per-item
+// results in a slice indexed by i so output order — and therefore the
+// final merge — is identical for every worker count. scan receives the
+// worker slot w driving it (0 = the primary model) so traced scans can
+// attribute each work item to the worker that ran it.
+//
+// ctx is checked before each work item is claimed. Once it is done no
+// further item starts and the items in flight finish; scanReplicated
+// then returns ctx's error if any item was never claimed, and nil when
+// every item ran.
+func (m *Model) scanReplicated(ctx context.Context, n int, scan func(mw *Model, w, i int)) error {
 	workers := parallel.Workers()
 	if m.scanWorkers > 0 && m.scanWorkers < workers {
 		workers = m.scanWorkers
@@ -227,9 +237,12 @@ func (m *Model) scanReplicated(n int, scan func(mw *Model, w, i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			scan(m, 0, i)
 		}
-		return
+		return nil
 	}
 	for len(m.replicas) < workers-1 {
 		r, _ := m.Clone() // a view: Clone cannot fail
@@ -242,14 +255,14 @@ func (m *Model) scanReplicated(n int, scan func(mw *Model, w, i int)) {
 		r.passState = ps
 		views = append(views, r)
 	}
-	var next int32
+	var next atomic.Int32
 	var wg sync.WaitGroup
 	wg.Add(len(views))
 	for w, r := range views {
 		go func(mw *Model, w int) {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt32(&next, 1)) - 1
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -258,6 +271,10 @@ func (m *Model) scanReplicated(n int, scan func(mw *Model, w, i int)) {
 		}(r, w)
 	}
 	wg.Wait()
+	if int(next.Load()) < n {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // tileOrigins enumerates tile start coordinates covering [lo, hi) with the

@@ -1,6 +1,9 @@
 package hsd
 
 import (
+	"context"
+
+	"rhsd/internal/guard"
 	"rhsd/internal/layout"
 	"rhsd/internal/telemetry"
 	"rhsd/internal/tensor"
@@ -161,8 +164,8 @@ func fillRegionRaster(img, mask []float32, l *layout.Layout, c Config, px int) [
 // ScanResult is one megatile scan's output plus the state an incremental
 // rescan needs: the scan geometry and the per-megatile post-ownership
 // detections, each valid for exactly the raster its megatile consumed.
-// Treat a ScanResult as immutable once returned — RescanLayoutMegatile
-// shares clean tiles' slices between the previous and next result.
+// Treat a ScanResult as immutable once returned — a Scan with it as
+// ScanRequest.Prev shares clean tiles' slices between the two results.
 type ScanResult struct {
 	// Detections is the merged scan output in nanometre coordinates
 	// relative to the scan window origin (what DetectLayoutMegatile
@@ -177,7 +180,7 @@ type ScanResult struct {
 	window  layout.Rect
 	spec    MegatileSpec
 	perTile [][]ScoredClip // post-ownership, window-relative nm clips
-	version [32]byte       // weights version the scan ran under
+	version [32]byte       // weights version (precision included) the scan ran under
 }
 
 // Window returns the scan window (canonical) this result covers.
@@ -212,18 +215,19 @@ func megatileGrid(spec MegatileSpec, window layout.Rect) (xb, yb []float64, tile
 	return seamBoundaries(xs, spec.RegionNM), seamBoundaries(ys, spec.RegionNM), tiles
 }
 
-// scanOneMegatile rasterizes one megatile, runs the forward pass (through
-// the cache when useCache), applies the halo-ownership filter and returns
-// the surviving clips in window-relative nanometre coordinates. sp, when
-// non-nil, is the request-trace span for this megatile; it receives the
-// tile coordinates and the cache outcome as attributes.
+// scanOneMegatile rasterizes one megatile, runs the forward pass at
+// precision prec (through the cache when one is attached), applies the
+// halo-ownership filter and returns the surviving clips in
+// window-relative nanometre coordinates. sp, when non-nil, is the
+// request-trace span for this megatile; it receives the tile coordinates
+// and the cache outcome as attributes.
 func (m *Model) scanOneMegatile(mw *Model, l *layout.Layout, t megatile, spec MegatileSpec,
-	window layout.Rect, xb, yb []float64, version [32]byte, useCache bool, sp *telemetry.TraceSpan) []ScoredClip {
+	window layout.Rect, xb, yb []float64, prec string, version [32]byte, sp *telemetry.TraceSpan) []ScoredClip {
 	c := m.Config
 	raster := mw.regionRaster(l.Window(t.tileRect(spec)), spec.PxSize)
 	var clips []ScoredClip
 	slack := ownershipSlackNM(c)
-	dets, outcome := m.cachedDetect(mw, raster, version, useCache)
+	dets, outcome := m.cachedDetect(mw, raster, prec, version)
 	if sp != nil {
 		sp.SetAttr("ix", int64(t.ix))
 		sp.SetAttr("iy", int64(t.iy))
@@ -257,13 +261,14 @@ func (m *Model) scanOneMegatile(mw *Model, l *layout.Layout, t megatile, spec Me
 // mergeMegatiles concatenates per-megatile clips in row-major order and
 // applies the cross-megatile h-NMS — the merge is identical whether a
 // tile's clips came from a forward pass, a cache hit or an incremental
-// reuse, which is what makes all three paths bit-identical.
-func (m *Model) mergeMegatiles(perTile [][]ScoredClip) []Detection {
+// reuse, which is what makes all three paths bit-identical. Its h-NMS
+// span parents under the scan span of trace tr.
+func (m *Model) mergeMegatiles(perTile [][]ScoredClip, tr *telemetry.Trace, scanSpan *telemetry.TraceSpan) []Detection {
 	var all []ScoredClip
 	for _, clips := range perTile {
 		all = append(all, clips...)
 	}
-	sp := m.stageSpan(StageHNMS)
+	sp := m.stageSpanUnder(StageHNMS, tr, scanSpan)
 	merged := m.nms(all)
 	sp.End()
 	out := make([]Detection, len(merged))
@@ -273,21 +278,32 @@ func (m *Model) mergeMegatiles(perTile [][]ScoredClip) []Detection {
 	return out
 }
 
-// scanMegatiles is the one megatile scan core: DetectLayoutMegatile,
-// ScanLayoutMegatile and RescanLayoutMegatile all run through it. A cold
-// scan is a rescan in which every megatile is dirty: with prev == nil
-// every megatile is rasterized and detected (through the cache when one
-// is attached); with prev, a megatile whose raster footprint — halo bands
-// included, see tileRect — overlaps no dirty rect reuses prev's retained
-// clips instead. Either way every megatile's clips enter the same
-// row-major merge, which is what makes cold, cached and incremental scans
-// bit-identical. version is the weights version the scan runs under; it
+// scanMegatiles is the one megatile scan core: Scan, DetectLayoutMegatile
+// and ScanLayoutMegatile all run through it. A cold scan is a rescan in
+// which every megatile is dirty: with prev == nil every megatile is
+// rasterized and detected (through the cache when one is attached); with
+// prev, a megatile whose raster footprint — halo bands included, see
+// tileRect — overlaps no dirty rect reuses prev's retained clips instead.
+// prev is reused only if its window, effective factor and weights
+// version equal this scan's; otherwise every megatile is dirty. Either
+// way every megatile's clips enter the same row-major merge, which is
+// what makes cold, cached and incremental scans bit-identical. The trunk
+// runs at precision prec; version is the weights version for prec, which
 // keys the cache and is recorded for a later rescan.
-func (m *Model) scanMegatiles(l *layout.Layout, window layout.Rect, factor int, version [32]byte, prev *ScanResult, dirty []layout.Rect) *ScanResult {
+//
+// ctx is checked before each megatile is claimed (scanReplicated). If it
+// ends the scan early, scanMegatiles merges nothing and returns ctx's
+// error. A trace on ctx gets a scan span under its root, with one
+// megatile span per scanned megatile.
+func (m *Model) scanMegatiles(ctx context.Context, l *layout.Layout, window layout.Rect, factor int,
+	prec string, version [32]byte, prev *ScanResult, dirty []layout.Rect) (*ScanResult, error) {
 	c := m.Config
 	window = window.Canon()
 	spec := c.Megatile(megatileFactorCap(c, window, factor))
 	xb, yb, tiles := megatileGrid(spec, window)
+	if prev != nil && (prev.window != window || prev.spec.Factor != spec.Factor || prev.version != version) {
+		prev = nil // a different scan: every megatile is dirty
+	}
 
 	res := &ScanResult{
 		window:  window,
@@ -306,42 +322,107 @@ func (m *Model) scanMegatiles(l *layout.Layout, window layout.Rect, factor int, 
 	res.TilesScanned = len(dirtyIdx)
 	res.TilesReused = len(tiles) - len(dirtyIdx)
 
-	tr := m.trace
+	tr := telemetry.TraceFromContext(ctx)
 	var scanSpan *telemetry.TraceSpan
 	if tr != nil {
 		if prev == nil {
-			scanSpan = tr.StartSpan(m.tspan, "scan")
+			scanSpan = tr.StartSpan(tr.Root(), "scan")
 			scanSpan.SetAttr("factor", int64(spec.Factor))
 			scanSpan.SetAttr("megatiles", int64(len(tiles)))
 		} else {
-			scanSpan = tr.StartSpan(m.tspan, "rescan")
+			scanSpan = tr.StartSpan(tr.Root(), "rescan")
 			scanSpan.SetAttr("factor", int64(spec.Factor))
 			scanSpan.SetAttr("megatiles_dirty", int64(res.TilesScanned))
 			scanSpan.SetAttr("megatiles_reused", int64(res.TilesReused))
 		}
-		prevSpan := m.tspan
-		m.tspan = scanSpan
-		defer func() {
-			m.tspan = prevSpan
-			tr.EndSpan(scanSpan)
-		}()
+		defer tr.EndSpan(scanSpan)
 	}
 
-	useCache := m.cache != nil
-	m.scanReplicated(len(dirtyIdx), func(mw *Model, w, j int) {
+	err := m.scanReplicated(ctx, len(dirtyIdx), func(mw *Model, w, j int) {
 		i := dirtyIdx[j]
-		wt := beginWorkTrace(tr, scanSpan, mw, w)
-		res.perTile[i] = m.scanOneMegatile(mw, l, tiles[i], spec, window, xb, yb, version, useCache, wt.span)
-		wt.end(tr)
+		sp := mw.beginWork(tr, scanSpan, w)
+		res.perTile[i] = m.scanOneMegatile(mw, l, tiles[i], spec, window, xb, yb, prec, version, sp)
+		mw.endWork(tr, sp)
 	})
+	if err != nil {
+		scanSpan.SetAttrStr("outcome", "cancelled")
+		return nil, err
+	}
 
-	res.Detections = m.mergeMegatiles(res.perTile)
+	res.Detections = m.mergeMegatiles(res.perTile, tr, scanSpan)
 	if ins := m.ins; ins != nil {
 		ins.MegatilesScanned.Add(int64(res.TilesScanned))
 		ins.MegatilesReused.Add(int64(res.TilesReused))
 		ins.WorkspaceBytes.Set(int64(m.TotalWorkspaceFootprint()) * 4)
 	}
-	return res
+	return res, nil
+}
+
+// ScanRequest is one layout scan for Scan: its arguments, all of them
+// values the scan only reads.
+type ScanRequest struct {
+	// Layout is the layout to scan and Window the part of it, in nm.
+	Layout *layout.Layout
+	Window layout.Rect
+	// Factor is the megatile factor: < 1 requests 1, and factors larger
+	// than the window needs are clamped.
+	Factor int
+	// Precision is the trunk's numeric path for this scan: PrecisionFP32,
+	// PrecisionInt8 (after CalibrateInt8), or "" for the view's own
+	// (SetPrecision).
+	Precision string
+	// Prev is an earlier result to rescan incrementally, and Dirty the
+	// rects changed since Prev's layout — layout.Diff(old, Layout). A
+	// megatile whose raster footprint overlaps no dirty rect reuses
+	// Prev's result; nil Dirty reuses every megatile. Prev is not reused
+	// at all when its window, effective factor or weights version
+	// (precision included) differs from this scan's.
+	Prev  *ScanResult
+	Dirty []layout.Rect
+}
+
+// Scan is the checked, cancellable layout scan: the megatile scan of
+// DetectLayoutMegatile behind input validation, a panic boundary and a
+// context, returning the full ScanResult.
+//
+// A nil layout, an empty window, an unknown precision and int8 before
+// CalibrateInt8 return an ErrBadInput-tagged error. A panic in the scan
+// comes back as a *guard.PanicError (only a panic on the calling
+// goroutine can be recovered; a scan with one megatile or one scan
+// worker runs there entirely).
+//
+// ctx is checked before each megatile is claimed, so a deadline or a
+// cancellation stops the scan at the next megatile boundary, with the
+// megatiles in flight finishing first. A scan that skipped any megatile
+// returns ctx's error and no result. Cache entries of the megatiles that
+// finished stay: they are complete results. A trace on ctx
+// (telemetry.ContextWithTrace) receives the scan's span tree under its
+// root; a stopped scan's span carries outcome=cancelled.
+//
+// Scan always hashes the weights under the request's precision, so
+// every result can be a later request's Prev. Incremental results equal
+// a cold scan of req.Layout bit for bit whenever Dirty covers the actual
+// layout difference (layout.Diff guarantees it by construction), and a
+// valid, uncancelled Scan equals DetectLayoutMegatile at the same
+// precision.
+func (m *Model) Scan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
+	if req.Layout == nil {
+		return nil, badInputf("hsd: nil layout")
+	}
+	if req.Window.Canon().Empty() {
+		return nil, badInputf("hsd: empty scan window %v", req.Window)
+	}
+	prec, err := m.passPrecision(req.Precision)
+	if err != nil {
+		return nil, err
+	}
+	var res *ScanResult
+	if perr := guard.Run(func() {
+		res, err = m.scanMegatiles(ctx, req.Layout, req.Window, req.Factor, prec, m.weightsVersion(prec), req.Prev, req.Dirty)
+	}); perr != nil {
+		return nil, perr
+	}
+	return res, err
 }
 
 // DetectLayoutMegatile scans an arbitrarily large layout window in
@@ -352,7 +433,8 @@ func (m *Model) scanMegatiles(l *layout.Layout, window layout.Rect, factor int, 
 // slack band, see ownershipSlackNM — is deferred to the neighbouring
 // megatile that sees it with more context) and merged with cross-megatile
 // h-NMS. Detections are returned in nanometre coordinates relative to the
-// window origin.
+// window origin. It is Scan's unchecked, uncancellable form at the view's
+// precision.
 //
 // Megatiles are the unit of work for the parallel scan: each of up to
 // parallel.Workers() goroutines drives its own view of the model (see
@@ -374,52 +456,22 @@ func (m *Model) scanMegatiles(l *layout.Layout, window layout.Rect, factor int, 
 // between those regions do not exist inside a megatile at all — the
 // paper's region-over-clip argument applied one level up.
 func (m *Model) DetectLayoutMegatile(l *layout.Layout, window layout.Rect, factor int) []Detection {
+	prec := m.Precision()
 	var version [32]byte
 	if m.cache != nil {
-		version = m.WeightsVersion()
+		version = m.weightsVersion(prec)
 	}
-	return m.scanMegatiles(l, window, factor, version, nil, nil).Detections
+	res, _ := m.scanMegatiles(context.Background(), l, window, factor, prec, version, nil, nil)
+	return res.Detections
 }
 
 // ScanLayoutMegatile is DetectLayoutMegatile returning the full scan
 // state: identical detections, plus the per-megatile results, scan
-// geometry and weights version an incremental rescan needs. Callers that
-// re-scan evolving layouts (the serving daemon's /detect?since= path, DFM
-// loops) keep the ScanResult and feed it to RescanLayoutMegatile with the
-// next revision's dirty rects.
+// geometry and weights version a later Scan can take as its Prev.
 func (m *Model) ScanLayoutMegatile(l *layout.Layout, window layout.Rect, factor int) *ScanResult {
-	return m.scanMegatiles(l, window, factor, m.WeightsVersion(), nil, nil)
-}
-
-// RescanLayoutMegatile re-scans a layout after an edit, reusing every
-// megatile of prev whose raster cannot have changed: a megatile is
-// re-rasterized (and re-detected, through the cache when attached) only
-// when its full raster footprint — halo bands included, see tileRect —
-// overlaps a dirty rect. dirty is the changed-region set from
-// layout.Diff(oldLayout, newLayout); l is the NEW layout. The scan window
-// and factor are prev's.
-//
-// Reused megatiles contribute their retained post-ownership clips to the
-// same row-major merge a cold scan performs, so the result is
-// bit-identical to ScanLayoutMegatile(l, prev.Window(), prev.Factor())
-// whenever dirty covers the actual layout difference (the differential
-// suite pins this; layout.Diff guarantees it by construction). An empty
-// dirty set rasterizes zero megatiles.
-//
-// The weights version is re-hashed on every rescan: if the model was
-// re-trained or re-loaded since prev, nothing is reusable and the call
-// degrades to a full scan. prev must come from ScanLayoutMegatile or
-// RescanLayoutMegatile.
-func (m *Model) RescanLayoutMegatile(prev *ScanResult, l *layout.Layout, dirty []layout.Rect) *ScanResult {
-	if prev == nil || prev.perTile == nil {
-		panic("hsd: RescanLayoutMegatile needs a ScanResult from ScanLayoutMegatile")
-	}
-	window, factor := prev.window, prev.spec.Factor
-	version := m.WeightsVersion()
-	if version != prev.version {
-		prev = nil // new weights: every megatile is dirty
-	}
-	return m.scanMegatiles(l, window, factor, version, prev, dirty)
+	prec := m.Precision()
+	res, _ := m.scanMegatiles(context.Background(), l, window, factor, prec, m.weightsVersion(prec), nil, nil)
+	return res
 }
 
 // AutoMegatileFactor picks the largest megatile factor whose predicted
@@ -440,9 +492,9 @@ func (m *Model) AutoMegatileFactor(window layout.Rect, budgetBytes int64) int {
 
 // regionWorkspaceBytes is the workspace one nominal region's Detect
 // draws, measured once per model by a pass over an empty region on a
-// fresh arena. The model's own arena is set aside because it keeps every
-// buffer of earlier, larger passes; its instruments and trace are set
-// aside because the probe is not a detection.
+// throwaway view. The model's own arena is not used because it keeps
+// every buffer of earlier, larger passes; the view carries no
+// instruments because the probe is not a detection.
 func (m *Model) regionWorkspaceBytes() int64 {
 	if m.regionBytes > 0 {
 		return m.regionBytes
@@ -452,10 +504,9 @@ func (m *Model) regionWorkspaceBytes() int64 {
 	for i := c.InputSize * c.InputSize; i < 2*c.InputSize*c.InputSize; i++ {
 		x.Data()[i] = 1 // all space, matching an empty region's raster
 	}
-	ws, ins, tr := m.ws, m.ins, m.trace
-	defer func() { m.ws, m.ins, m.trace = ws, ins, tr }()
-	m.ws, m.ins, m.trace = tensor.NewWorkspace(), nil, nil
-	m.Detect(x)
-	m.regionBytes = int64(m.ws.Footprint()) * 4 // float32 bytes
+	probe, _ := m.Clone() // a view: Clone cannot fail
+	probe.ins = nil
+	probe.Detect(x)
+	m.regionBytes = int64(probe.ws.Footprint()) * 4 // float32 bytes
 	return m.regionBytes
 }

@@ -113,12 +113,11 @@ type passState struct {
 	// scanning many windows) keeps their grown workspaces. scanReplicated
 	// refreshes each from the model at the start of every scan.
 	replicas []*Model
-	// trace/tspan are the active request trace and the span new stage
-	// and scan spans parent under (see SetTrace). Nil — the default —
-	// keeps every instrumented site on today's branch-only fast path. A
-	// scan worker is handed the per-megatile span for exactly one work
-	// item at a time (trace.go), so spans parent under the megatile they
-	// time, not under whatever the worker scanned last.
+	// trace/tspan are the request trace and the megatile span stage
+	// spans parent under, set for exactly one traced work item of a scan
+	// and cleared after it (trace.go). Nil — the default, and the state
+	// between work items — keeps every instrumented site on the
+	// branch-only fast path.
 	trace *telemetry.Trace
 	tspan *telemetry.TraceSpan
 	// profScope is the reusable per-work-item tensor profile scope,
@@ -468,8 +467,12 @@ func (m *Model) ForwardBase(x *tensor.Tensor) *BaseOutput {
 // Unlike the training path, InferBase is shape-polymorphic: the backbone
 // and CPN heads are fully convolutional, so any [1, 2, H, W] raster with
 // H and W positive multiples of FeatureStride is accepted — the megatile
-// scan feeds it rasters covering many regions at once.
-func (m *Model) InferBase(x *tensor.Tensor) *BaseOutput {
+// scan feeds it rasters covering many regions at once. The trunk runs at
+// the view's precision (SetPrecision).
+func (m *Model) InferBase(x *tensor.Tensor) *BaseOutput { return m.inferBase(x, m.Precision()) }
+
+// inferBase is InferBase with the trunk on the numeric path prec.
+func (m *Model) inferBase(x *tensor.Tensor, prec string) *BaseOutput {
 	if x.Rank() != 4 || x.Dim(0) != 1 || x.Dim(1) != InputChannels ||
 		x.Dim(2) <= 0 || x.Dim(2)%FeatureStride != 0 ||
 		x.Dim(3) <= 0 || x.Dim(3)%FeatureStride != 0 {
@@ -478,14 +481,14 @@ func (m *Model) InferBase(x *tensor.Tensor) *BaseOutput {
 	}
 	m.ws.Reset()
 	sp := m.stageSpan(StageBackbone)
-	fine := m.stageInfer(m.Stem, x)
-	feat := m.stageInfer(m.Backbone, fine)
+	fine := m.stageInfer(m.Stem, x, prec)
+	feat := m.stageInfer(m.Backbone, fine, prec)
 	sp.End()
 	sp = m.stageSpan(StageEncDec)
-	feat = m.stageInfer(m.EncDec, feat)
+	feat = m.stageInfer(m.EncDec, feat, prec)
 	sp.End()
 	sp = m.stageSpan(StageInception)
-	feat = m.stageInfer(m.Inception, feat)
+	feat = m.stageInfer(m.Inception, feat, prec)
 	sp.End()
 	sp = m.stageSpan(StageCPN)
 	trunk := m.RPNTrunk.Infer(feat, m.ws)

@@ -20,11 +20,12 @@ const (
 // see eval.CalibrationRasters): each raster runs a float32 pass that
 // records every trunk conv's input activation range, then the trunk
 // weights are quantized per output channel and the dequantization plans
-// frozen. Calibration does not switch the model to int8; call
-// SetPrecision(PrecisionInt8) after. Re-calibrating replaces the
-// previous state of this view; clones made earlier keep theirs, while
-// scan workers take the new one at their next scan. The model's weights
-// must not change afterwards (Load or a training step invalidates the
+// frozen. Calibration does not switch the model to int8: call
+// SetPrecision(PrecisionInt8) after, or scan with a ScanRequest whose
+// Precision is PrecisionInt8. Re-calibrating replaces the previous
+// state of this view; clones made earlier keep theirs, while scan
+// workers take the new one at their next scan. The model's weights must
+// not change afterwards (Load or a training step invalidates the
 // plans); recalibrate after any weight mutation.
 //
 // The int8 path covers the convolutional trunk from the stem through
@@ -58,23 +59,39 @@ func (m *Model) CalibrateInt8(rasters []*tensor.Tensor) error {
 	return nil
 }
 
-// SetPrecision selects the trunk's numeric path: PrecisionFP32 (or "")
-// restores float32, PrecisionInt8 requires a prior CalibrateInt8. The
-// precision is per view: clones keep their own, and scan workers take
-// this one at the start of every scan.
+// SetPrecision selects the view's trunk numeric path — the one Detect,
+// InferBase, the unchecked layout scans and a ScanRequest without a
+// Precision run at: PrecisionFP32 (or "") restores float32,
+// PrecisionInt8 requires a prior CalibrateInt8. The precision is per
+// view: clones keep their own.
 func (m *Model) SetPrecision(p string) error {
-	switch p {
-	case "", PrecisionFP32:
-		m.precision = PrecisionFP32
-	case PrecisionInt8:
-		if m.quant == nil || !m.quant.Calibrated() {
-			return errors.New("hsd: int8 precision requires CalibrateInt8 first")
-		}
-		m.precision = PrecisionInt8
-	default:
-		return fmt.Errorf("hsd: unknown precision %q (want %q or %q)", p, PrecisionFP32, PrecisionInt8)
+	if p == "" {
+		p = PrecisionFP32
 	}
+	prec, err := m.passPrecision(p)
+	if err != nil {
+		return err
+	}
+	m.precision = prec
 	return nil
+}
+
+// passPrecision resolves the numeric path one pass runs at: "" is the
+// view's own, and int8 needs CalibrateInt8 first. Its errors are tagged
+// ErrBadInput.
+func (m *Model) passPrecision(p string) (string, error) {
+	switch p {
+	case "":
+		return m.Precision(), nil
+	case PrecisionFP32:
+		return p, nil
+	case PrecisionInt8:
+		if !m.Int8Calibrated() {
+			return "", badInputf("hsd: int8 precision requires CalibrateInt8 first")
+		}
+		return p, nil
+	}
+	return "", badInputf("hsd: unknown precision %q (want %q or %q)", p, PrecisionFP32, PrecisionInt8)
 }
 
 // Precision returns the trunk's active numeric path.
@@ -89,9 +106,9 @@ func (m *Model) Precision() string {
 // has run), regardless of the currently selected precision.
 func (m *Model) Int8Calibrated() bool { return m.quant != nil && m.quant.Calibrated() }
 
-// stageInfer runs one trunk stage on the active numeric path.
-func (m *Model) stageInfer(s *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
-	if m.precision == PrecisionInt8 && m.quant != nil {
+// stageInfer runs one trunk stage on the numeric path prec.
+func (m *Model) stageInfer(s *nn.Sequential, x *tensor.Tensor, prec string) *tensor.Tensor {
+	if prec == PrecisionInt8 && m.quant != nil {
 		return m.quant.Infer(s, x, m.ws)
 	}
 	return s.Infer(x, m.ws)

@@ -118,16 +118,17 @@ func (m *Model) Instruments() *Instruments { return m.ins }
 // rhsd-detect/rhsd-bench -trace it additionally opens a same-named
 // runtime/trace region so `go tool trace` shows the exact histogram
 // boundaries.
-// When a request trace is attached (SetTrace), the same boundary also
-// opens a child span in the flight-recorder tree under the model's
-// current parent span.
-func (m *Model) stageSpan(st Stage) telemetry.Span {
+// During a traced scan work item (beginWork) the same boundary also
+// opens a child span in the flight-recorder tree under the megatile
+// span.
+func (m *Model) stageSpan(st Stage) telemetry.Span { return m.stageSpanUnder(st, m.trace, m.tspan) }
+
+// stageSpanUnder is stageSpan with the request trace and parent span
+// given explicitly.
+func (m *Model) stageSpanUnder(st Stage, tr *telemetry.Trace, parent *telemetry.TraceSpan) telemetry.Span {
 	var h *telemetry.Histogram
 	if ins := m.ins; ins != nil {
 		h = ins.stages[st]
 	}
-	if m.trace != nil {
-		return telemetry.StartSpanTraced(h, stageNames[st], m.trace, m.tspan)
-	}
-	return telemetry.StartSpan(h, stageNames[st])
+	return telemetry.StartSpanTraced(h, stageNames[st], tr, parent)
 }

@@ -1,6 +1,7 @@
 package hsd
 
 import (
+	"context"
 	"testing"
 
 	"rhsd/internal/layout"
@@ -16,6 +17,16 @@ func tracedScanLayout(c Config) *layout.Layout {
 	plantBlob(l, 400, 400, c)
 	plantBlob(l, 2250, 2250, c)
 	return l
+}
+
+// tracedScan runs req through Scan with tr on the request context.
+func tracedScan(t *testing.T, m *Model, tr *telemetry.Trace, req ScanRequest) *ScanResult {
+	t.Helper()
+	res, err := m.Scan(telemetry.ContextWithTrace(context.Background(), tr), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // attrMap flattens a span's attributes for assertions. Duplicate keys
@@ -46,9 +57,7 @@ func TestScanTraceTree(t *testing.T) {
 	defer tensor.SetProfiling(prev)
 	rec := telemetry.NewFlightRecorder(2)
 	tr := rec.StartTrace("detect", "test", "")
-	m.SetTrace(tr, tr.Root())
-	res := m.ScanLayoutMegatile(l, l.Bounds, 2)
-	m.SetTrace(nil, nil)
+	res := tracedScan(t, m, tr, ScanRequest{Layout: l, Window: l.Bounds, Factor: 2})
 	tr.Complete()
 
 	data, ok := rec.Trace(tr.TraceID())
@@ -113,9 +122,7 @@ func TestScanTraceTree(t *testing.T) {
 	// An all-reused incremental rescan opens a rescan span instead, with
 	// the reuse accounting and no megatile children (nothing dirty).
 	tr2 := rec.StartTrace("detect", "test-rescan", "")
-	m.SetTrace(tr2, tr2.Root())
-	res2 := m.RescanLayoutMegatile(res, l, nil)
-	m.SetTrace(nil, nil)
+	res2 := tracedScan(t, m, tr2, ScanRequest{Layout: l, Window: l.Bounds, Factor: 2, Prev: res})
 	tr2.Complete()
 	if res2.TilesReused != 4 {
 		t.Fatalf("rescan reused %d tiles, want 4", res2.TilesReused)
@@ -157,9 +164,7 @@ func TestProfileScopeParity(t *testing.T) {
 		m.ScanLayoutMegatile(l, l.Bounds, 2)
 		tensor.ResetProfile()
 		tr := rec.StartTrace("detect", "parity", "")
-		m.SetTrace(tr, tr.Root())
-		m.ScanLayoutMegatile(l, l.Bounds, 2)
-		m.SetTrace(nil, nil)
+		tracedScan(t, m, tr, ScanRequest{Layout: l, Window: l.Bounds, Factor: 2})
 		tr.Complete()
 		return 0
 	})

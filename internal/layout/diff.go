@@ -4,7 +4,7 @@ import "sort"
 
 // Diff computes the dirty regions between two layouts: the set of
 // rectangles whose presence differs between old and new. It is the input
-// to incremental rescanning (hsd.RescanLayoutMegatile): a megatile whose
+// to incremental rescanning (hsd.ScanRequest.Dirty): a megatile whose
 // halo-inclusive raster window overlaps no dirty rect is guaranteed to
 // rasterize to the same bytes under both layouts, so its cached
 // detections remain valid.

@@ -54,26 +54,6 @@ func (p Polygon) Validate() error {
 	return nil
 }
 
-// BBox returns the polygon's bounding box.
-func (p Polygon) BBox() Rect {
-	b := Rect{X0: p.Vertices[0].X, Y0: p.Vertices[0].Y, X1: p.Vertices[0].X, Y1: p.Vertices[0].Y}
-	for _, v := range p.Vertices[1:] {
-		if v.X < b.X0 {
-			b.X0 = v.X
-		}
-		if v.X > b.X1 {
-			b.X1 = v.X
-		}
-		if v.Y < b.Y0 {
-			b.Y0 = v.Y
-		}
-		if v.Y > b.Y1 {
-			b.Y1 = v.Y
-		}
-	}
-	return b
-}
-
 // Decompose slices the polygon into non-overlapping rectangles using
 // horizontal slab decomposition: between each pair of consecutive
 // distinct Y coordinates, the polygon's interior is a set of disjoint X

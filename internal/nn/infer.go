@@ -87,12 +87,6 @@ func (l *Dense) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	return y
 }
 
-// Infer is the identity: dropout is defined to be a no-op at inference
-// time, regardless of the layer's training flag.
-func (l *Dropout) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	return x
-}
-
 // Infer chains the layers' inference paths, fusing each Conv2D/Deconv2D
 // with an immediately following ReLU into one kernel with a fused
 // bias+activation epilogue.

@@ -30,7 +30,7 @@ func assertSameTensor(t *testing.T, label string, want, got *tensor.Tensor) {
 // TestInferMatchesForward pins the Infer ≡ Forward contract on a stack
 // exercising every fused and unfused inference path: conv+leaky-ReLU
 // (fused), deconv+ReLU (fused), bare conv, pooling, inception-style
-// branch concat, dropout (identity at inference), flatten and dense.
+// branch concat, flatten and dense.
 func TestInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	branchA := NewSequential(
@@ -41,8 +41,6 @@ func TestInferMatchesForward(t *testing.T) {
 		NewConv2D("bb", 6, 5, 3, 1, 1, rng),
 		NewReLU(),
 	)
-	drop := NewDropout(0.5, rng)
-	drop.SetTraining(false)
 	net := NewSequential(
 		NewConv2D("c1", 2, 4, 3, 1, 1, rng),
 		NewLeakyReLU(0.05),
@@ -51,7 +49,6 @@ func TestInferMatchesForward(t *testing.T) {
 		NewReLU(),
 		NewConcatBranches(branchA, branchB),
 		NewConv2D("c2", 9, 3, 3, 1, 1, rng), // bare conv: unfused epilogue
-		drop,
 		NewFlatten(),
 		NewDense("fc", 3*8*8, 7, rng),
 	)

@@ -287,10 +287,6 @@ func (l *Dense) PackWeights() {
 	l.packed = tensor.PackB(false, l.In, l.Out, l.Weight.W.Data())
 }
 
-// InvalidatePackedWeights drops the prepacked view; Infer falls back to
-// the per-call Gemm until PackWeights runs again.
-func (l *Dense) InvalidatePackedWeights() { l.packed = nil }
-
 // ---------------------------------------------------------------------------
 // Composition
 

@@ -136,65 +136,3 @@ func TestDeconvThenConvComposition(t *testing.T) {
 		t.Fatalf("encoder-decoder shape drift: %v", y.Shape())
 	}
 }
-
-func TestDropoutInferenceIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	l := NewDropout(0.5, rng)
-	l.SetTraining(false)
-	x := tensor.New(4, 4)
-	x.RandN(rng, 1)
-	y := l.Forward(x)
-	for i := range x.Data() {
-		if y.Data()[i] != x.Data()[i] {
-			t.Fatal("inference dropout must be identity")
-		}
-	}
-}
-
-func TestDropoutTrainingDropsAndScales(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	l := NewDropout(0.5, rng)
-	x := tensor.New(1, 10000)
-	x.Fill(1)
-	y := l.Forward(x)
-	zeros, scaled := 0, 0
-	for _, v := range y.Data() {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			scaled++
-		default:
-			t.Fatalf("unexpected value %v", v)
-		}
-	}
-	if zeros < 4500 || zeros > 5500 {
-		t.Fatalf("drop rate off: %d/10000", zeros)
-	}
-	// Expectation preserved: mean(y) ≈ mean(x) = 1.
-	if m := y.Sum() / 10000; m < 0.9 || m > 1.1 {
-		t.Fatalf("inverted scaling broken: mean %v", m)
-	}
-	// Backward routes gradients only through survivors, same scaling.
-	g := tensor.New(1, 10000)
-	g.Fill(1)
-	dx := l.Backward(g)
-	for i, v := range y.Data() {
-		want := float32(0)
-		if v != 0 {
-			want = 2
-		}
-		if dx.Data()[i] != want {
-			t.Fatal("dropout backward mask mismatch")
-		}
-	}
-}
-
-func TestDropoutRejectsBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDropout(1.0, rand.New(rand.NewSource(1)))
-}

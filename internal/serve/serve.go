@@ -12,13 +12,16 @@
 // goroutine budget stays at parallel.Workers() regardless of pool size —
 // cross-request parallelism replaces the CLI's nested per-scan fan-out.
 // Admission is a bounded queue that sheds load with 429 instead of
-// buffering unboundedly; each request carries a deadline (a detection
-// that outlives it answers 504 while the worker finishes in the
-// background and rejoins the pool, since kernels are not cancellable
-// mid-pass); shutdown stops admissions and drains in-flight work; idle
-// servers trim per-clone workspaces back to their budget. All detection
-// runs behind the guard.Run error boundary, so a panic anywhere in the
-// inference stack becomes a 500 response and the daemon keeps serving.
+// buffering unboundedly. Each request runs its scan on its own handler
+// goroutine through hsd.Model.Scan, with a context carrying its
+// deadline and its trace: the scan checks the context before each
+// megatile, so a request past its deadline — or whose client went away —
+// stops at the next megatile boundary, answers 504 and frees its worker
+// then, at most one megatile pass late. Shutdown stops admissions and
+// drains in-flight work; idle servers trim per-clone workspaces back to
+// their budget. All detection runs behind the guard.Run error boundary,
+// so a panic anywhere in the inference stack becomes a 500 response and
+// the daemon keeps serving.
 //
 // Observability (DESIGN.md §13): every request/response/latency series
 // lives in a telemetry.Registry — the same registry that carries the
@@ -324,8 +327,9 @@ type Server struct {
 	trimDone chan struct{}
 
 	// testHook, when set, runs inside the detection error boundary before
-	// the scan; tests use it to stall a worker or inject a panic.
-	testHook func()
+	// the scan, with the request's scan context; tests use it to stall a
+	// worker or inject a panic.
+	testHook func(ctx context.Context)
 }
 
 // New builds a Server around m: the pool's first worker is m itself, the
@@ -456,8 +460,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Shutdown stops admitting requests (new /detect calls answer 503) and
-// waits for in-flight detections — including any that already answered
-// 504 but still hold a worker — to finish, or for ctx to expire.
+// waits for in-flight detections to finish, or for ctx to expire.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.closed
@@ -675,14 +678,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Traceparent", tr.TraceParent())
 		w.Header().Set("X-Trace-Id", tr.TraceID())
 	}
-	// The scan goroutine owns trace completion once launched (handed);
-	// until then early exits (shed, 4xx, wait timeout) complete it here.
-	handed := false
-	defer func() {
-		if !handed {
-			tr.Complete()
-		}
-	}()
+	// Early exits (shed, 4xx, wait timeout) complete the trace here; a
+	// scan completes it in finishTrace, and Complete is idempotent.
+	defer tr.Complete()
 	s.log.Debug("detect request", "request_id", id, "remote", r.RemoteAddr)
 	s.met.requests.Inc()
 	s.met.inflight.Add(1)
@@ -707,9 +705,8 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		since = v
 	}
 
-	// ?precision= overrides the pool default for this request only; the
-	// override is applied to the exclusively-held worker and restored
-	// before it rejoins the pool.
+	// ?precision= overrides the pool default for this request only: it
+	// goes into the scan request, never onto the pooled model.
 	precision := s.defaultPrecision
 	if q := r.URL.Query().Get("precision"); q != "" {
 		switch q {
@@ -741,7 +738,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
+	ctx := telemetry.ContextWithTrace(r.Context(), tr)
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
@@ -760,92 +757,54 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The kernels are not cancellable mid-pass, so the detection runs in
-	// its own goroutine holding its own in-flight count: on timeout the
-	// handler answers 504 immediately while the worker finishes in the
-	// background and rejoins the pool (and Shutdown still waits for it).
 	start := time.Now()
-	type result struct {
-		out scanOutcome
-		err error
-	}
-	done := make(chan result, 1)
-	s.inflight.Add(1)
-	// The scan goroutine now owns the trace: it must complete it even if
-	// the handler has long since answered 504, and completion must happen
-	// there — after the worker detaches — so no span operation can race
-	// Complete (span handles are invalid once the trace completes).
-	handed = true
-	go func() {
-		defer s.inflight.Done()
-		var out scanOutcome
-		err := guard.Run(func() {
-			if s.testHook != nil {
-				s.testHook()
-			}
-			if prev := wk.m.Precision(); precision != prev {
-				if perr := wk.m.SetPrecision(precision); perr != nil {
-					panic(perr) // validated at admission: unreachable
-				}
-				defer wk.m.SetPrecision(prev)
-			}
-			wk.m.SetTrace(tr, tr.Root())
-			out = s.scan(wk.m, l, since, tr.TraceID())
-		})
-		// Detach before the worker rejoins the pool: the next request
-		// must not inherit this trace, and Complete below invalidates
-		// every span handle the model still holds.
-		wk.m.SetTrace(nil, nil)
-		wk.footprint.Store(int64(wk.m.TotalWorkspaceFootprint()) * 4)
-		s.pool <- wk
-		s.finishTrace(tr, out, err, time.Since(start))
-		done <- result{out, err}
-	}()
-
-	select {
-	case res := <-done:
-		if res.err != nil {
-			var pe *guard.PanicError
-			if errors.As(res.err, &pe) {
-				s.log.Error("detection panic recovered",
-					"request_id", id,
-					"panic", fmt.Sprint(pe.Value),
-					"stack", string(pe.Stack))
-			}
-			s.fail(w, http.StatusInternalServerError, "detection failed: %v", res.err)
-			return
-		}
-		elapsed := time.Since(start)
-		dets := res.out.dets
-		s.log.Debug("detect done", "request_id", id,
-			"detections", len(dets), "incremental", res.out.incremental,
-			"elapsed_ms", float64(elapsed.Nanoseconds())/1e6)
-		s.met.respOK.Inc()
-		s.met.detections.Add(int64(len(dets)))
-		s.met.latency.Observe(elapsed.Seconds())
-		out := DetectResponse{
-			Detections:   make([]DetectionJSON, len(dets)),
-			Count:        len(dets),
-			ElapsedMS:    float64(elapsed.Nanoseconds()) / 1e6,
-			ScanID:       res.out.scanID,
-			TilesScanned: res.out.tilesScanned,
-			TilesReused:  res.out.tilesReused,
-			Incremental:  res.out.incremental,
-			Precision:    precision,
-			TraceID:      tr.TraceID(),
-		}
-		for i, d := range dets {
-			out.Detections[i] = DetectionJSON{
-				CXnm: d.Clip.CX(), CYnm: d.Clip.CY(),
-				Wnm: d.Clip.W(), Hnm: d.Clip.H(),
-				Score: d.Score,
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
-	case <-ctx.Done():
+	res, err := s.scan(ctx, wk.m, l, since, precision)
+	wk.footprint.Store(int64(wk.m.TotalWorkspaceFootprint()) * 4)
+	s.pool <- wk
+	s.finishTrace(tr, res, err, time.Since(start))
+	var pe *guard.PanicError
+	switch {
+	case errors.As(err, &pe):
+		s.log.Error("detection panic recovered",
+			"request_id", id,
+			"panic", fmt.Sprint(pe.Value),
+			"stack", string(pe.Stack))
+		s.fail(w, http.StatusInternalServerError, "detection failed: %v", err)
+		return
+	case errors.Is(err, hsd.ErrBadInput):
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
+	case err != nil: // the scan stopped: the deadline passed or the client left
 		s.met.timeouts.Inc()
 		s.fail(w, http.StatusGatewayTimeout, "detection exceeded the request deadline")
+		return
 	}
+	elapsed := time.Since(start)
+	s.log.Debug("detect done", "request_id", id,
+		"detections", len(res.dets), "incremental", res.incremental,
+		"elapsed_ms", float64(elapsed.Nanoseconds())/1e6)
+	s.met.respOK.Inc()
+	s.met.detections.Add(int64(len(res.dets)))
+	s.met.latency.Observe(elapsed.Seconds())
+	out := DetectResponse{
+		Detections:   make([]DetectionJSON, len(res.dets)),
+		Count:        len(res.dets),
+		ElapsedMS:    float64(elapsed.Nanoseconds()) / 1e6,
+		ScanID:       res.scanID,
+		TilesScanned: res.tilesScanned,
+		TilesReused:  res.tilesReused,
+		Incremental:  res.incremental,
+		Precision:    precision,
+		TraceID:      tr.TraceID(),
+	}
+	for i, d := range res.dets {
+		out.Detections[i] = DetectionJSON{
+			CXnm: d.Clip.CX(), CYnm: d.Clip.CY(),
+			Wnm: d.Clip.W(), Hnm: d.Clip.H(),
+			Score: d.Score,
+		}
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // scanOutcome is one request's detection result plus the scan metadata
@@ -857,43 +816,49 @@ type scanOutcome struct {
 	incremental               bool
 }
 
-// scan runs the megatile scan over the request layout's bounds. It
-// executes inside the guard boundary; panics become 500s.
+// scan runs the megatile scan over the request layout's bounds through
+// m.Scan, at the given precision and under ctx, which carries the
+// request's deadline and trace. The test hook, the ?since= lookup and
+// the auto factor run inside a guard boundary of their own; Scan has
+// one too, so any panic becomes a 500.
 //
 // The scan result is retained in the history ring and its id returned,
 // so a follow-up request can POST an edited layout with ?since=<id>: the
-// server diffs the stored layout against the new one (layout.Diff) and
-// re-scans only megatiles whose halo-inclusive raster window a dirty
-// rect touches. A since id that has aged out, or a
-// stored scan whose window or weights no longer match, silently degrades
+// stored scan becomes the request's Prev, with layout.Diff of the stored
+// layout against the new one as its dirty rects, and only megatiles
+// whose halo-inclusive raster window a dirty rect touches are re-scanned.
+// A since id that has aged out, or a stored scan whose window, factor or
+// weights version (precision included) does not match, silently degrades
 // to a cold scan — incremental serving is an optimization, never a
 // correctness dependency (the hsd differential suite pins bit-identity).
-func (s *Server) scan(m *hsd.Model, l *layout.Layout, since int64, traceID string) scanOutcome {
-	var res *hsd.ScanResult
-	incremental := false
-	if since > 0 {
-		if prev, ok := s.hist.get(since); ok && prev.res.Window() == l.Bounds.Canon() {
-			res = m.RescanLayoutMegatile(prev.res, l, layout.Diff(prev.l, l))
-			// A weight mismatch inside Rescan degrades to a full scan;
-			// report it as incremental only if any tile was actually reused.
-			incremental = res.TilesReused > 0 || res.TilesScanned == 0
+func (s *Server) scan(ctx context.Context, m *hsd.Model, l *layout.Layout, since int64, precision string) (scanOutcome, error) {
+	req := hsd.ScanRequest{Layout: l, Window: l.Bounds, Factor: s.cfg.MegatileFactor, Precision: precision}
+	if err := guard.Run(func() {
+		if s.testHook != nil {
+			s.testHook(ctx)
 		}
-	}
-	if res == nil {
-		factor := s.cfg.MegatileFactor
-		if factor == 0 {
-			factor = m.AutoMegatileFactor(l.Bounds, int64(s.cfg.MegatileMemMiB)<<20)
+		if prev, ok := s.hist.get(since); ok {
+			req.Prev, req.Dirty = prev.res, layout.Diff(prev.l, l)
 		}
-		res = m.ScanLayoutMegatile(l, l.Bounds, factor)
+		if req.Factor == 0 {
+			req.Factor = m.AutoMegatileFactor(l.Bounds, int64(s.cfg.MegatileMemMiB)<<20)
+		}
+	}); err != nil {
+		return scanOutcome{}, err
 	}
-	id := s.hist.add(l, res, traceID)
+	res, err := m.Scan(ctx, req)
+	if err != nil {
+		return scanOutcome{}, err
+	}
 	return scanOutcome{
 		dets:         res.Detections,
-		scanID:       id,
+		scanID:       s.hist.add(l, res, telemetry.TraceFromContext(ctx).TraceID()),
 		tilesScanned: res.TilesScanned,
 		tilesReused:  res.TilesReused,
-		incremental:  incremental,
-	}
+		// A Prev that did not match is a full scan: report the scan as
+		// incremental only if a tile was actually reused.
+		incremental: req.Prev != nil && (res.TilesReused > 0 || res.TilesScanned == 0),
+	}, nil
 }
 
 // trimLoop watches for idle periods and trims per-clone workspaces back

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"rhsd/internal/hsd"
 	"rhsd/internal/layout"
+	"rhsd/internal/tensor"
 )
 
 // testConfig is a TinyConfig model with the reporting threshold lowered
@@ -81,7 +83,7 @@ func layoutBody(t *testing.T, l *layout.Layout) []byte {
 
 // newTestServer builds a Server plus an httptest front end. The returned
 // cleanup shuts both down.
-func newTestServer(t *testing.T, cfg Config, hook func()) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, cfg Config, hook func(context.Context)) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.IdleTrim == 0 {
 		cfg.IdleTrim = -1 // keep the trim loop out of tests that don't ask for it
@@ -129,7 +131,7 @@ func decodeDetect(t *testing.T, data []byte) DetectResponse {
 
 // TestServeMatchesDirectConcurrent pins the core serving contract:
 // concurrent /detect requests return bit-identical detections to a
-// direct DetectLayoutMegatile call on an identically-seeded model.
+// direct Scan on an identically-seeded model.
 // JSON carries float64 exactly (Go encodes the shortest round-tripping
 // representation), so the comparison is exact equality.
 func TestServeMatchesDirectConcurrent(t *testing.T) {
@@ -138,10 +140,11 @@ func TestServeMatchesDirectConcurrent(t *testing.T) {
 	const factor = 2
 
 	direct := testModel(t)
-	want, err := direct.DetectLayoutMegatileChecked(l, l.Bounds, factor)
+	res, err := direct.Scan(context.Background(), hsd.ScanRequest{Layout: l, Window: l.Bounds, Factor: factor})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := res.Detections
 	if len(want) == 0 {
 		t.Fatal("direct scan found no detections; the parity test is vacuous")
 	}
@@ -200,11 +203,91 @@ func TestServeMatchesDirectConcurrent(t *testing.T) {
 	}
 }
 
+// sameAsDirect reports the first difference between served detections
+// and a direct scan's, compared exactly.
+func sameAsDirect(want []hsd.Detection, got []DetectionJSON) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d detections, want %d", len(got), len(want))
+	}
+	for j, d := range got {
+		w := want[j]
+		if d.CXnm != w.Clip.CX() || d.CYnm != w.Clip.CY() ||
+			d.Wnm != w.Clip.W() || d.Hnm != w.Clip.H() || d.Score != w.Score {
+			return fmt.Errorf("detection %d: got %+v want clip %+v score %v", j, d, w.Clip, w.Score)
+		}
+	}
+	return nil
+}
+
+// TestPrecisionIsPerRequest pins ?precision= as a value of one request,
+// never state left on the pooled model: on a one-worker pool an int8
+// request equals a direct int8 scan, the default request after it
+// equals the fp32 scan, and an int8 request ?since= an fp32 scan reuses
+// nothing, since the weights version includes the precision.
+func TestPrecisionIsPerRequest(t *testing.T) {
+	c := testConfig()
+	l := testLayout(c)
+	cal := []*tensor.Tensor{hsd.RegionRaster(l, c, c.InputSize)}
+	const factor = 1
+
+	direct := testModel(t)
+	if err := direct.CalibrateInt8(cal); err != nil {
+		t.Fatal(err)
+	}
+	wantFP32 := direct.DetectLayoutMegatile(l, l.Bounds, factor)
+	if err := direct.SetPrecision(hsd.PrecisionInt8); err != nil {
+		t.Fatal(err)
+	}
+	wantInt8 := direct.DetectLayoutMegatile(l, l.Bounds, factor)
+	if len(wantInt8) == 0 {
+		t.Fatal("direct int8 scan found no detections; the test is vacuous")
+	}
+	if slices.Equal(wantFP32, wantInt8) {
+		t.Fatal("int8 and fp32 scans agree; the test cannot tell the precisions apart")
+	}
+
+	_, ts := newTestServer(t, Config{Pool: 1, MegatileFactor: factor, Calibration: cal}, nil)
+	body := layoutBody(t, l)
+	post := func(query string) DetectResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/detect"+query, "text/plain", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("detect%s: status %d: %s", query, resp.StatusCode, data)
+		}
+		return decodeDetect(t, data)
+	}
+
+	i8 := post("?precision=int8")
+	if err := sameAsDirect(wantInt8, i8.Detections); err != nil || i8.Precision != hsd.PrecisionInt8 {
+		t.Fatalf("int8 request (precision %q): %v", i8.Precision, err)
+	}
+	fp := post("")
+	if err := sameAsDirect(wantFP32, fp.Detections); err != nil || fp.Precision != hsd.PrecisionFP32 {
+		t.Fatalf("default request after an int8 one (precision %q): %v", fp.Precision, err)
+	}
+	re := post(fmt.Sprintf("?precision=int8&since=%d", fp.ScanID))
+	if re.Incremental || re.TilesReused != 0 {
+		t.Fatalf("int8 rescan of an fp32 scan: incremental=%v reused=%d, want a cold scan",
+			re.Incremental, re.TilesReused)
+	}
+	if err := sameAsDirect(wantInt8, re.Detections); err != nil {
+		t.Fatalf("int8 rescan of an fp32 scan: %v", err)
+	}
+}
+
 func TestQueueFullSheds429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	hook := func() {
+	hook := func(context.Context) {
 		once.Do(func() { close(started) })
 		<-release
 	}
@@ -248,7 +331,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	hook := func() {
+	hook := func(context.Context) {
 		once.Do(func() { close(started) })
 		<-release
 	}
@@ -366,7 +449,7 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 // serving subsequent requests on the same worker.
 func TestPanicBoundary(t *testing.T) {
 	var panicOnce sync.Once
-	hook := func() {
+	hook := func(context.Context) {
 		shouldPanic := false
 		panicOnce.Do(func() { shouldPanic = true })
 		if shouldPanic {

@@ -104,31 +104,23 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // finishTrace stamps the scan outcome on the root span, completes the
 // trace into the recorder's ring, and emits the slow-scan dump when the
-// detection exceeded the configured threshold. Runs in the scan
-// goroutine — the only place where no span handle can still be live.
+// detection exceeded the configured threshold. The handler calls it
+// once its scan has returned, before it answers, so the trace a
+// response names is already complete.
 func (s *Server) finishTrace(tr *telemetry.Trace, out scanOutcome, err error, elapsed time.Duration) {
 	if tr == nil {
 		return
 	}
 	root := tr.Root()
 	if err != nil {
-		root.SetAttrStr("outcome", "panic")
+		root.SetAttrStr("error", err.Error())
 	} else {
 		root.SetAttr("detections", int64(len(out.dets)))
-		if out.scanID > 0 {
-			root.SetAttr("scan_id", out.scanID)
-		}
-	}
-	// Snapshot before Complete: once the trace is in the ring a later
-	// completion may evict and recycle its spans at any time.
-	slow := err == nil && s.cfg.SlowScan > 0 && elapsed >= s.cfg.SlowScan
-	var snap telemetry.TraceData
-	if slow {
-		snap = tr.Snapshot()
+		root.SetAttr("scan_id", out.scanID)
 	}
 	tr.Complete()
-	if slow {
-		s.logSlowScan(snap, elapsed)
+	if err == nil && s.cfg.SlowScan > 0 && elapsed >= s.cfg.SlowScan {
+		s.logSlowScan(tr.Snapshot(), elapsed)
 	}
 }
 

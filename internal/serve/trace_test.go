@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -150,46 +151,58 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestTraceCompletesAfterTimeout pins the 504 contract: the handler
-// answers without completing the trace; the scan goroutine completes it
-// when the worker finishes, so the trace still lands in the recorder.
+// TestTraceCompletesAfterTimeout pins the 504 contract: a scan past its
+// deadline stops at the next megatile boundary, its worker is back in
+// the pool, and the 504 names a trace that is already complete in the
+// recorder, with the scan span marked cancelled.
 func TestTraceCompletesAfterTimeout(t *testing.T) {
-	stall := make(chan struct{})
-	_, ts := newTestServer(t, Config{Pool: 1, Timeout: 50 * time.Millisecond},
-		func() { <-stall })
+	s, ts := newTestServer(t, Config{Pool: 1, Timeout: 50 * time.Millisecond},
+		func(ctx context.Context) { <-ctx.Done() })
 	resp, data := postLayout(t, ts.URL, layoutBody(t, testLayout(testConfig())))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("stalled detect: status %d: %s", resp.StatusCode, data)
+	}
+	if n := len(s.pool); n != 1 {
+		t.Fatalf("%d workers in the pool when the 504 arrived, want 1", n)
 	}
 	reqID := resp.Header.Get("X-Request-Id")
 	traceID := resp.Header.Get("X-Trace-Id")
 	if len(traceID) != 32 {
 		t.Fatalf("504 response X-Trace-Id %q, want a trace id", traceID)
 	}
-	close(stall)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r, err := http.Get(ts.URL + "/traces/" + traceID)
-		if err != nil {
-			t.Fatal(err)
+	r, err := http.Get(ts.URL + "/traces/" + traceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("trace %s not retained when its 504 arrived: status %d", traceID, r.StatusCode)
+	}
+	var td telemetry.TraceData
+	if err := json.Unmarshal(blob, &td); err != nil {
+		t.Fatal(err)
+	}
+	if !td.Complete || td.RequestID != reqID {
+		t.Fatalf("timed-out trace complete=%v request=%q, want complete %q",
+			td.Complete, td.RequestID, reqID)
+	}
+	outcome := ""
+	for _, c := range td.Root.Children {
+		if c.Name != "scan" {
+			continue
 		}
-		blob, _ := io.ReadAll(r.Body)
-		r.Body.Close()
-		if r.StatusCode == http.StatusOK {
-			var td telemetry.TraceData
-			if err := json.Unmarshal(blob, &td); err != nil {
-				t.Fatal(err)
+		for _, a := range c.Attrs {
+			if a.Key == "outcome" {
+				outcome = a.Str
 			}
-			if !td.Complete || td.RequestID != reqID {
-				t.Fatalf("timed-out trace complete=%v request=%q, want complete %q",
-					td.Complete, td.RequestID, reqID)
-			}
-			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace %s never completed after the 504 (last status %d)", traceID, r.StatusCode)
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if outcome != "cancelled" {
+		t.Fatalf("timed-out trace's scan outcome %q, want cancelled: %+v", outcome, td.Root)
+	}
+	if n := s.met.timeouts.Value(); n != 1 {
+		t.Fatalf("timeouts counter %d, want 1", n)
 	}
 }
 

@@ -17,22 +17,19 @@ import (
 // The design contract mirrors the rest of this package: when tracing is
 // not armed every instrumented site sees a nil *Trace/*TraceSpan and
 // pays a nil check, nothing else — no clock read, no allocation. When
-// armed, span structs are recycled through a freelist owned by the
-// recorder (spans of an evicted trace become the spans of a future
-// one), timestamps are monotonic offsets from the trace start, and both
-// the span count per trace and the child count per span are bounded
-// with explicit drop counters so a pathological request cannot grow
-// without limit.
+// armed, each span is its own allocation, timestamps are monotonic
+// offsets from the trace start, and both the span count per trace and
+// the child count per span are bounded with explicit drop counters so a
+// pathological request cannot grow without limit.
 //
 // Concurrency: a trace is mutated under its own mutex (megatile spans
-// start and end concurrently from scan workers), the recorder ring and
-// span freelist under the recorder's mutex. Lock order is trace →
-// recorder; nothing takes them in the other order. Completed traces are
-// immutable — every mutating entry point checks t.done — so ring reads
-// only need the recorder lock. Span handles must not be used after the
-// owning trace completes: completion is what returns spans to the
-// freelist's reach, and our callers (serve, hsd) clear their trace
-// references before calling Complete.
+// start and end concurrently from scan workers), the recorder ring
+// under the recorder's mutex. Lock order is trace → recorder; nothing
+// takes them in the other order. Completed traces are immutable — every
+// mutating entry point checks t.done — so ring reads only need the
+// recorder lock, and a span operation that arrives after Complete is a
+// no-op on the done trace. An evicted trace is simply dropped from the
+// ring; its spans are never reused.
 
 // Default bounds for traces held by a FlightRecorder.
 const (
@@ -84,10 +81,7 @@ func (a *TraceAttr) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// TraceSpan is one node of a trace's span tree. Spans are pooled: the
-// struct and its children/attrs slices are recycled when the owning
-// trace is evicted from the flight recorder, so steady-state tracing
-// stops allocating once the pool has warmed to the workload's shape.
+// TraceSpan is one node of a trace's span tree.
 type TraceSpan struct {
 	t        *Trace
 	name     string
@@ -97,7 +91,6 @@ type TraceSpan struct {
 	children []*TraceSpan
 	dropped  int64
 	attrs    []TraceAttr
-	freeNext *TraceSpan
 }
 
 // SetAttr attaches a numeric attribute. Nil-safe; no-op after the
@@ -214,12 +207,7 @@ func (t *Trace) StartSpan(parent *TraceSpan, name string) *TraceSpan {
 		t.mu.Unlock()
 		return nil
 	}
-	s := t.rec.spanGet()
-	s.t = t
-	s.name = name
-	s.startNs = t.clockNs()
-	s.endNs = spanOpen
-	s.parent = parent
+	s := &TraceSpan{t: t, name: name, startNs: t.clockNs(), endNs: spanOpen, parent: parent}
 	parent.children = append(parent.children, s)
 	t.nspans++
 	t.mu.Unlock()
@@ -241,10 +229,9 @@ func (t *Trace) EndSpan(s *TraceSpan) {
 }
 
 // Complete freezes the trace and hands it to the flight recorder's
-// ring. Open spans (a timed-out request abandons its scan span) are
-// closed at the completion instant. After Complete the trace is
-// immutable and span handles into it must not be used. Nil-safe and
-// idempotent.
+// ring. Spans still open are closed at the completion instant. After
+// Complete the trace is immutable: span operations on it are no-ops.
+// Nil-safe and idempotent.
 func (t *Trace) Complete() {
 	if t == nil {
 		return
@@ -270,8 +257,8 @@ func closeOpenSpans(s *TraceSpan, now int64) {
 	}
 }
 
-// FlightRecorder retains the last N completed traces in a ring,
-// oldest first, recycling the evicted trace's spans through a freelist.
+// FlightRecorder retains the last N completed traces in a ring, oldest
+// first.
 type FlightRecorder struct {
 	maxTraces   int
 	maxSpans    int
@@ -279,7 +266,6 @@ type FlightRecorder struct {
 
 	mu   sync.Mutex
 	ring []*Trace
-	free *TraceSpan
 	seq  uint64
 }
 
@@ -337,12 +323,7 @@ func (r *FlightRecorder) StartTrace(name, reqID, traceparent string) *Trace {
 		randBytes(t.traceID[:])
 		randBytes(t.spanID[:])
 	}
-	root := r.spanGet()
-	root.t = t
-	root.name = name
-	root.startNs = 0
-	root.endNs = spanOpen
-	t.root = root
+	t.root = &TraceSpan{t: t, name: name, endNs: spanOpen}
 	t.nspans = 1
 	return t
 }
@@ -358,55 +339,19 @@ func randBytes(b []byte) {
 	}
 }
 
-// spanGet pops a span from the freelist or allocates a fresh one.
-func (r *FlightRecorder) spanGet() *TraceSpan {
-	r.mu.Lock()
-	s := r.free
-	if s != nil {
-		r.free = s.freeNext
-	}
-	r.mu.Unlock()
-	if s == nil {
-		return &TraceSpan{}
-	}
-	s.freeNext = nil
-	return s
-}
-
-// complete appends a finished trace to the ring, evicting (and
-// recycling the spans of) the oldest trace beyond the retention cap.
+// complete appends a finished trace to the ring, evicting the oldest
+// trace beyond the retention cap.
 func (r *FlightRecorder) complete(t *Trace) {
 	r.mu.Lock()
 	r.seq++
 	t.seq = r.seq
 	r.ring = append(r.ring, t)
 	for len(r.ring) > r.maxTraces {
-		old := r.ring[0]
 		copy(r.ring, r.ring[1:])
 		r.ring[len(r.ring)-1] = nil
 		r.ring = r.ring[:len(r.ring)-1]
-		r.recycleLocked(old.root)
-		old.root = nil
 	}
 	r.mu.Unlock()
-}
-
-// recycleLocked pushes a span subtree onto the freelist, clearing
-// identity but keeping slice capacity so reuse does not allocate.
-// Caller holds r.mu; the evicted trace is done, so no other goroutine
-// can reach these spans through legal API use.
-func (r *FlightRecorder) recycleLocked(s *TraceSpan) {
-	for _, c := range s.children {
-		r.recycleLocked(c)
-	}
-	s.t = nil
-	s.name = ""
-	s.parent = nil
-	s.children = s.children[:0]
-	s.attrs = s.attrs[:0]
-	s.dropped = 0
-	s.freeNext = r.free
-	r.free = s
 }
 
 // TraceSummary is one row of the recorder listing.
@@ -473,8 +418,7 @@ type SpanData struct {
 }
 
 // TraceData is a deep-copied, render-ready trace. It shares no memory
-// with the recorder's pooled spans, so it stays valid after the trace
-// is evicted and its spans are reused.
+// with the live spans, which scan workers may still be writing.
 type TraceData struct {
 	TraceID      string    `json:"trace_id"`
 	SpanID       string    `json:"span_id"`
@@ -489,8 +433,7 @@ type TraceData struct {
 }
 
 // Snapshot deep-copies the trace's current state. Valid on a live
-// trace (slow-scan logging snapshots before Complete) and on a nil
-// trace (zero value).
+// trace, on a completed one and on a nil trace (zero value).
 func (t *Trace) Snapshot() TraceData {
 	if t == nil {
 		return TraceData{}

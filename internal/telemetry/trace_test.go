@@ -95,10 +95,10 @@ func TestTraceTreeShapeAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotSurvivesEviction pins the aliasing contract of the span
-// pool: a TraceData snapshot shares no memory with pooled spans, so it
-// must stay intact after its trace is evicted and its spans recycled
-// into new traces that overwrite every field.
+// TestSnapshotSurvivesEviction pins the aliasing contract of Snapshot:
+// a TraceData shares no memory with the recorder's spans, so it stays
+// intact after its trace is evicted by newer traces that set every
+// field.
 func TestSnapshotSurvivesEviction(t *testing.T) {
 	r := NewFlightRecorder(1)
 	tr := completeTrace(r, "victim")
@@ -107,7 +107,7 @@ func TestSnapshotSurvivesEviction(t *testing.T) {
 		t.Fatal("trace not retained")
 	}
 	blob, _ := json.Marshal(data)
-	// Evict and aggressively reuse the pooled spans.
+	// Evict the trace with a run of newer ones.
 	for i := 0; i < 10; i++ {
 		next := r.StartTrace("other", "other", "")
 		sp := next.StartSpan(next.Root(), "overwrite")
@@ -118,7 +118,7 @@ func TestSnapshotSurvivesEviction(t *testing.T) {
 	}
 	blob2, _ := json.Marshal(data)
 	if string(blob) != string(blob2) {
-		t.Fatalf("snapshot mutated by span recycling:\nbefore %s\nafter  %s", blob, blob2)
+		t.Fatalf("snapshot mutated by eviction:\nbefore %s\nafter  %s", blob, blob2)
 	}
 }
 
