@@ -75,8 +75,11 @@ trace-smoke:
 	$(GO) run ./cmd/rhsd-serve -selftest -init-random -slow-scan 1ns
 
 # GEMM kernel matrix: re-run the numeric parity suites with each
-# registered micro-kernel forced via RHSD_GEMM_KERNEL, then the int8
-# parity suites with each quantized kernel forced via RHSD_QGEMM_KERNEL.
+# registered micro-kernel forced via RHSD_GEMM_KERNEL — tensor and nn,
+# plus the detector's inference-equals-training test in hsd, so the
+# model-level Infer ≡ Forward pin holds in both rounding families — then
+# the int8 parity suites with each quantized kernel forced via
+# RHSD_QGEMM_KERNEL.
 # A kernel the host cannot run is skipped inside the tests with a logged
 # reason (the TestForcedKernelActive gates record that the request was
 # not honored), so the matrix stays green on narrower machines while
@@ -87,6 +90,8 @@ kernel-matrix:
 		echo "== RHSD_GEMM_KERNEL=$$k =="; \
 		RHSD_GEMM_KERNEL=$$k $(GO) test -count=1 \
 			-run 'Gemm|Conv|Infer|Kernel|Quantize' ./internal/tensor ./internal/nn || exit 1; \
+		RHSD_GEMM_KERNEL=$$k $(GO) test -count=1 \
+			-run 'TestInferMatchesTrainingPath' ./internal/hsd || exit 1; \
 	done
 	for q in qgo qvnni; do \
 		echo "== RHSD_QGEMM_KERNEL=$$q =="; \

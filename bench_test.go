@@ -364,7 +364,7 @@ func BenchmarkMicroConvForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(x, w, bias, o)
+		tensor.Conv2DInfer(nil, x, w, o, tensor.Epilogue{Bias: bias})
 	}
 }
 

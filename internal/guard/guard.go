@@ -11,7 +11,11 @@
 // The contract is one recover per boundary crossing: internal code never
 // recovers, public checked wrappers recover exactly once, and everything
 // in between propagates freely — so a stack in a PanicError always points
-// at the kernel that raised it.
+// at the kernel that raised it. A fan-out to goroutines (the megatile
+// scan's workers) runs each under Run and re-panics the first
+// *PanicError on its caller's goroutine, where no recover could see the
+// original; Run returns such a *PanicError unchanged, so its stack still
+// names the kernel that panicked.
 package guard
 
 import (
@@ -43,10 +47,15 @@ func (e *PanicError) Unwrap() error {
 
 // Run invokes fn and returns nil on normal completion, or a *PanicError
 // if fn panicked. A nil-value panic (panic(nil)) is reported too, as Go
-// runtimes since 1.21 convert it to a *runtime.PanicNilError.
+// runtimes since 1.21 convert it to a *runtime.PanicNilError. A panic
+// with a *PanicError value is returned as it is, its stack unchanged.
 func Run(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if pe, ok := r.(*PanicError); ok {
+				err = pe
+				return
+			}
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()

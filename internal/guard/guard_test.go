@@ -68,3 +68,22 @@ func TestRunRuntimePanic(t *testing.T) {
 		t.Fatalf("runtime panic not converted: %v", err)
 	}
 }
+
+// TestRunReturnsPanicErrorUnchanged re-panics a *PanicError recovered on
+// one goroutine through a second Run, as a fan-out does on its caller's
+// goroutine: the second Run must return the same error, with the stack
+// that names the original panic site.
+func TestRunReturnsPanicErrorUnchanged(t *testing.T) {
+	inner := make(chan error, 1)
+	go func() { inner <- Run(func() { kernelThatPanics() }) }()
+	first := <-inner
+	err := Run(func() { panic(first) })
+	if err != first {
+		t.Fatalf("Run wrapped a re-panicked *PanicError: %v", err)
+	}
+	if !strings.Contains(string(err.(*PanicError).Stack), "kernelThatPanics") {
+		t.Fatalf("stack lost the panic site:\n%s", err.(*PanicError).Stack)
+	}
+}
+
+func kernelThatPanics() { panic("kernel on a worker goroutine") }

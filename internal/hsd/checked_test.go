@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rhsd/internal/guard"
 	"rhsd/internal/layout"
+	"rhsd/internal/parallel"
 	"rhsd/internal/tensor"
 )
 
@@ -51,6 +53,40 @@ func TestDetectCheckedConvertsPanics(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Fatal("PanicError carries no stack")
 	}
+}
+
+// TestScanWorkerPanicReturnsPanicError pins Scan's panic boundary on the
+// scan workers: at two compute workers the four megatiles of quadLayout
+// run on worker goroutines, where a kernel panic must come back as a
+// *guard.PanicError naming the megatile scan rather than crash the test
+// binary, and the model must scan correctly once its state is mended.
+func TestScanWorkerPanicReturnsPanicError(t *testing.T) {
+	prev := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(prev)
+	m := parityModel(t)
+	l, win := quadLayout(m.Config)
+	req := ScanRequest{Layout: l, Window: win, Factor: 1}
+	anchors := m.Anchors
+	m.Anchors = nil
+	_, err := m.Scan(context.Background(), req)
+	var pe *guard.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *guard.PanicError", err)
+	}
+	if !strings.Contains(string(pe.Stack), "scanOneMegatile") {
+		t.Fatalf("PanicError stack does not name the megatile scan:\n%s", pe.Stack)
+	}
+
+	m.Anchors = anchors
+	got, err := m.Scan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := parityModel(t).Scan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDetections(t, "scan after a worker panic", want.Detections, got.Detections)
 }
 
 func TestLoadCheckedErrors(t *testing.T) {

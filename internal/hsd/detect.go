@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"rhsd/internal/geom"
+	"rhsd/internal/guard"
 	"rhsd/internal/parallel"
 	"rhsd/internal/tensor"
 )
@@ -96,10 +97,11 @@ func (m *Model) decodeProposals(s *detectScratch, set *AnchorSet, out *BaseOutpu
 //
 // Detect runs on the model's allocation-free inference path: activations
 // come from the per-model workspace (reset on entry), candidate and NMS
-// buffers from the model's scratch. Results are bit-identical to the
-// training-path ForwardBase/Proposals/RefineForward composition; the
-// only steady-state heap allocation is the returned []Detection. The
-// trunk runs at the view's precision (SetPrecision).
+// buffers from the model's scratch. At fp32, results are bit-identical
+// to the training-path ForwardBase/Proposals/RefineForward composition
+// (TestInferMatchesTrainingPath); the only steady-state heap allocation
+// is the returned []Detection. The trunk runs at the view's precision
+// (SetPrecision).
 func (m *Model) Detect(x *tensor.Tensor) []Detection { return m.detect(x, m.Precision()) }
 
 // detect is Detect with the trunk on the numeric path prec.
@@ -227,6 +229,11 @@ func (m *Model) detect(x *tensor.Tensor, prec string) []Detection {
 // further item starts and the items in flight finish; scanReplicated
 // then returns ctx's error if any item was never claimed, and nil when
 // every item ran.
+//
+// A panic in scan on a worker goroutine is recovered there (guard.Run):
+// the workers stop claiming items, and once the items in flight finish,
+// scanReplicated panics on the calling goroutine with the first
+// *guard.PanicError, whose stack names the kernel that panicked.
 func (m *Model) scanReplicated(ctx context.Context, n int, scan func(mw *Model, w, i int)) error {
 	workers := parallel.Workers()
 	if m.scanWorkers > 0 && m.scanWorkers < workers {
@@ -256,21 +263,30 @@ func (m *Model) scanReplicated(ctx context.Context, n int, scan func(mw *Model, 
 		views = append(views, r)
 	}
 	var next atomic.Int32
+	var failed atomic.Pointer[guard.PanicError]
 	var wg sync.WaitGroup
 	wg.Add(len(views))
 	for w, r := range views {
 		go func(mw *Model, w int) {
 			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+			err := guard.Run(func() {
+				for ctx.Err() == nil && failed.Load() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					scan(mw, w, i)
 				}
-				scan(mw, w, i)
+			})
+			if err != nil {
+				failed.CompareAndSwap(nil, err.(*guard.PanicError))
 			}
 		}(r, w)
 	}
 	wg.Wait()
+	if perr := failed.Load(); perr != nil {
+		panic(perr)
+	}
 	if int(next.Load()) < n {
 		return ctx.Err()
 	}

@@ -464,7 +464,7 @@ func (m *Model) ForwardBase(x *tensor.Tensor) *BaseOutput {
 // only until the next InferBase/Detect call. Values are bit-identical to
 // ForwardBase.
 //
-// Unlike the training path, InferBase is shape-polymorphic: the backbone
+// Like ForwardBase, InferBase is shape-polymorphic: the backbone
 // and CPN heads are fully convolutional, so any [1, 2, H, W] raster with
 // H and W positive multiples of FeatureStride is accepted — the megatile
 // scan feeds it rasters covering many regions at once. The trunk runs at
@@ -574,7 +574,7 @@ func (m *Model) RefineForward(out *BaseOutput, rois []geom.Rect) (cls, reg *tens
 	pooled := m.RoI.Forward(out.Feat, rois)
 	if m.Config.UseFineTap {
 		finePooled := m.RoIFine.Forward(out.FineFeat, rois)
-		pooled = tensor.ConcatChannels(pooled, finePooled)
+		pooled = tensor.ConcatChannelsInfer(nil, pooled, finePooled)
 	}
 	trunkOut := m.RefineTrunk.Forward(pooled)
 	hidden := m.RefineFC.Forward(trunkOut)

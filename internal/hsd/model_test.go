@@ -149,6 +149,69 @@ func TestRefineForwardShapes(t *testing.T) {
 	}
 }
 
+// TestInferMatchesTrainingPath pins Detect's promise that the inference
+// path is bit-identical to the training path: InferBase (fused conv +
+// ReLU epilogues, workspace memory) against ForwardBase (separate ReLU
+// layers, heap memory), and RefineInfer against RefineForward through
+// the shared RoI pooling loop, for RoIs inside the map, partly and
+// wholly outside it and under one pixel wide, with the refinement's
+// Dense layers on prepacked weights and, after a Backward drops those as
+// every training step does, on plain ones. It runs at the nominal raster
+// and at a 2× megatile raster, with the fine tap on.
+func TestInferMatchesTrainingPath(t *testing.T) {
+	c := TinyConfig()
+	if !c.UseFineTap {
+		t.Fatal("TinyConfig must enable the fine tap for this test")
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, px := range []int{c.InputSize, 2 * c.InputSize} {
+		m, err := NewModel(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(1, InputChannels, px, px)
+		x.RandUniform(rng, 0, 1)
+		want := m.ForwardBase(x)
+		got := m.InferBase(x)
+		assertTensorBits(t, "Feat", want.Feat, got.Feat)
+		assertTensorBits(t, "FineFeat", want.FineFeat, got.FineFeat)
+		assertTensorBits(t, "ClsMap", want.ClsMap, got.ClsMap)
+		assertTensorBits(t, "RegMap", want.RegMap, got.RegMap)
+
+		s := float64(px)
+		rois := []geom.Rect{
+			{X0: 0.1 * s, Y0: 0.2 * s, X1: 0.45 * s, Y1: 0.6 * s},    // inside
+			{X0: 0.8 * s, Y0: -0.2 * s, X1: 1.3 * s, Y1: 0.3 * s},    // partly outside
+			{X0: 1.5 * s, Y0: 1.2 * s, X1: 1.8 * s, Y1: 1.9 * s},     // wholly outside
+			{X0: 0.5 * s, Y0: 0.3 * s, X1: 0.5*s + 0.4, Y1: 0.7 * s}, // under one pixel wide
+		}
+		wantCls, wantReg := m.RefineForward(want, rois)
+		gotCls, gotReg := m.RefineInfer(got, rois)
+		assertTensorBits(t, "refine cls (packed)", wantCls, gotCls)
+		assertTensorBits(t, "refine reg (packed)", wantReg, gotReg)
+
+		m.RefineBackward(tensor.New(wantCls.Shape()...), tensor.New(wantReg.Shape()...))
+		wantCls, wantReg = m.RefineForward(want, rois)
+		gotCls, gotReg = m.RefineInfer(got, rois)
+		assertTensorBits(t, "refine cls (unpacked)", wantCls, gotCls)
+		assertTensorBits(t, "refine reg (unpacked)", wantReg, gotReg)
+	}
+}
+
+// assertTensorBits fails unless want and got have equal shapes and
+// bit-identical elements.
+func assertTensorBits(t *testing.T, label string, want, got *tensor.Tensor) {
+	t.Helper()
+	if !want.SameShape(got) {
+		t.Fatalf("%s: shape %v vs %v", label, got.Shape(), want.Shape())
+	}
+	for i, v := range want.Data() {
+		if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+			t.Fatalf("%s: element %d: infer %v vs forward %v", label, i, got.Data()[i], v)
+		}
+	}
+}
+
 func TestMakeSampleConversions(t *testing.T) {
 	c := TinyConfig()
 	regionNM := c.RegionNM()

@@ -26,28 +26,44 @@ func NewRoIPool(size int, stride float64) *RoIPool {
 	return &RoIPool{Size: size, Stride: stride}
 }
 
-// Forward pools each RoI from feat [1, C, H, W] into [R, C, Size, Size].
-// Empty bins (possible for degenerate RoIs) produce 0 with no gradient.
+// Forward pools each RoI from feat [1, C, H, W] into [R, C, Size, Size],
+// caching the feature map and recording each output's argmax for
+// Backward. Empty bins (possible for degenerate RoIs) produce 0 with no
+// gradient.
 func (p *RoIPool) Forward(feat *tensor.Tensor, rois []geom.Rect) *tensor.Tensor {
-	c, h, w := feat.Dim(1), feat.Dim(2), feat.Dim(3)
 	p.feat = feat
-	out := tensor.New(len(rois), c, p.Size, p.Size)
+	out := tensor.New(len(rois), feat.Dim(1), p.Size, p.Size)
 	p.arg = make([]int32, out.Size())
-	for i := range p.arg {
-		p.arg[i] = -1
+	p.pool(out, feat, rois, p.arg)
+	return out
+}
+
+// Infer pools each RoI into workspace memory without recording argmax
+// indices or caching the feature map — the allocation-free counterpart
+// of Forward for the detection path, through the same pooling loop.
+func (p *RoIPool) Infer(ws *tensor.Workspace, feat *tensor.Tensor, rois []geom.Rect) *tensor.Tensor {
+	// Zeroed output: degenerate bins and out-of-extent RoIs rely on it.
+	out := ws.ZeroTensor(len(rois), feat.Dim(1), p.Size, p.Size)
+	p.pool(out, feat, rois, nil)
+	return out
+}
+
+// pool max-pools every RoI's bins from feat into the zeroed out. When arg
+// is non-nil it also records each output's argmax, a flat index into
+// feat, or -1 for an empty bin.
+func (p *RoIPool) pool(out, feat *tensor.Tensor, rois []geom.Rect, arg []int32) {
+	c, h, w := feat.Dim(1), feat.Dim(2), feat.Dim(3)
+	for i := range arg {
+		arg[i] = -1
 	}
 	oi := 0
 	for _, roi := range rois {
-		// Scale the clip from input coordinates onto the feature map.
-		fx0 := roi.X0 / p.Stride
-		fy0 := roi.Y0 / p.Stride
-		fx1 := roi.X1 / p.Stride
-		fy1 := roi.Y1 / p.Stride
-		// Clamp to the feature extent.
-		fx0 = clampF(fx0, 0, float64(w))
-		fx1 = clampF(fx1, 0, float64(w))
-		fy0 = clampF(fy0, 0, float64(h))
-		fy1 = clampF(fy1, 0, float64(h))
+		// Scale the clip from input coordinates onto the feature map,
+		// clamped to the feature extent.
+		fx0 := clampF(roi.X0/p.Stride, 0, float64(w))
+		fx1 := clampF(roi.X1/p.Stride, 0, float64(w))
+		fy0 := clampF(roi.Y0/p.Stride, 0, float64(h))
+		fy1 := clampF(roi.Y1/p.Stride, 0, float64(h))
 		if fx1-fx0 <= 0 || fy1-fy0 <= 0 {
 			// The RoI lies entirely outside the feature extent: emit zeros
 			// with no gradient.
@@ -78,65 +94,15 @@ func (p *RoIPool) Forward(feat *tensor.Tensor, rois []geom.Rect) *tensor.Tensor 
 					}
 					if bestIdx >= 0 {
 						out.Data()[oi] = best
-						p.arg[oi] = bestIdx
-					}
-					oi++
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Infer pools each RoI into workspace memory without recording argmax
-// indices or caching the feature map — the allocation-free counterpart
-// of Forward for the detection path. Values are bit-identical to
-// Forward's output.
-func (p *RoIPool) Infer(ws *tensor.Workspace, feat *tensor.Tensor, rois []geom.Rect) *tensor.Tensor {
-	c, h, w := feat.Dim(1), feat.Dim(2), feat.Dim(3)
-	// Zeroed output: degenerate bins and out-of-extent RoIs rely on it.
-	out := ws.ZeroTensor(len(rois), c, p.Size, p.Size)
-	oi := 0
-	for _, roi := range rois {
-		fx0 := clampF(roi.X0/p.Stride, 0, float64(w))
-		fx1 := clampF(roi.X1/p.Stride, 0, float64(w))
-		fy0 := clampF(roi.Y0/p.Stride, 0, float64(h))
-		fy1 := clampF(roi.Y1/p.Stride, 0, float64(h))
-		if fx1-fx0 <= 0 || fy1-fy0 <= 0 {
-			oi += c * p.Size * p.Size
-			continue
-		}
-		bw := (fx1 - fx0) / float64(p.Size)
-		bh := (fy1 - fy0) / float64(p.Size)
-		for ch := 0; ch < c; ch++ {
-			plane := feat.Data()[ch*h*w : (ch+1)*h*w]
-			for by := 0; by < p.Size; by++ {
-				y0 := int(math.Floor(fy0 + float64(by)*bh))
-				y1 := int(math.Ceil(fy0 + float64(by+1)*bh))
-				y0, y1 = clampBin(y0, y1, h)
-				for bx := 0; bx < p.Size; bx++ {
-					x0 := int(math.Floor(fx0 + float64(bx)*bw))
-					x1 := int(math.Ceil(fx0 + float64(bx+1)*bw))
-					x0, x1 = clampBin(x0, x1, w)
-					best := float32(math.Inf(-1))
-					found := false
-					for y := y0; y < y1; y++ {
-						for x := x0; x < x1; x++ {
-							if v := plane[y*w+x]; v > best {
-								best = v
-								found = true
-							}
+						if arg != nil {
+							arg[oi] = bestIdx
 						}
 					}
-					if found {
-						out.Data()[oi] = best
-					}
 					oi++
 				}
 			}
 		}
 	}
-	return out
 }
 
 // Backward scatters the pooled gradient [R, C, Size, Size] back onto the

@@ -10,32 +10,26 @@ import (
 // nothing to the layer — so one layer tree may serve Infer calls from
 // several goroutines at once, each with its own workspace, as long as no
 // weight mutation overlaps them. Returned tensors are valid until the
-// workspace's next Reset.
+// workspace's next Reset. Conv2D, Deconv2D and Dense have no other
+// forward kernel: their Forward caches the input and calls Infer with a
+// nil workspace, which allocates.
 //
-// Sequential.Infer additionally fuses Conv2D/Deconv2D + ReLU pairs into a
-// single output sweep via tensor.Epilogue; the fused sequence performs
-// the identical add-then-scale arithmetic, so Infer and Forward agree bit
-// for bit (pinned by TestInferMatchesForward).
+// Sequential.Infer and ConcatBranches.Infer run the one layer walk,
+// infer, which fuses each Conv2D/Deconv2D + ReLU pair into a single
+// output sweep via tensor.Epilogue; the fused sequence performs the
+// identical add-then-scale arithmetic, so Infer and the unfused
+// Sequential.Forward agree bit for bit (pinned by
+// TestInferMatchesForward). The int8 Quantizer runs the same walk,
+// hooking in only at its conv step (quant.go).
 
 // Infer runs the convolution with its bias fused into the output sweep.
 func (l *Conv2D) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	return tensor.Conv2DInfer(ws, x, l.Weight.W, l.Opts, tensor.Epilogue{Bias: l.Bias.W})
 }
 
-// inferFused additionally folds a trailing leaky ReLU into the sweep.
-func (l *Conv2D) inferFused(x *tensor.Tensor, ws *tensor.Workspace, slope float32) *tensor.Tensor {
-	return tensor.Conv2DInfer(ws, x, l.Weight.W, l.Opts,
-		tensor.Epilogue{Bias: l.Bias.W, Act: true, Slope: slope})
-}
-
 // Infer runs the transposed convolution with fused bias.
 func (l *Deconv2D) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	return tensor.Deconv2DInfer(ws, x, l.Weight.W, l.Opts, tensor.Epilogue{Bias: l.Bias.W})
-}
-
-func (l *Deconv2D) inferFused(x *tensor.Tensor, ws *tensor.Workspace, slope float32) *tensor.Tensor {
-	return tensor.Deconv2DInfer(ws, x, l.Weight.W, l.Opts,
-		tensor.Epilogue{Bias: l.Bias.W, Act: true, Slope: slope})
 }
 
 // Infer pools without recording argmax indices.
@@ -87,46 +81,71 @@ func (l *Dense) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	return y
 }
 
-// Infer chains the layers' inference paths, fusing each Conv2D/Deconv2D
-// with an immediately following ReLU into one kernel with a fused
-// bias+activation epilogue.
+// Infer chains the layers' inference paths (infer).
 func (s *Sequential) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	for i := 0; i < len(s.Layers); i++ {
-		switch l := s.Layers[i].(type) {
-		case *Conv2D:
-			if i+1 < len(s.Layers) {
-				if r, ok := s.Layers[i+1].(*ReLU); ok {
-					x = l.inferFused(x, ws, r.Slope)
-					i++
-					continue
-				}
-			}
-			x = l.Infer(x, ws)
-		case *Deconv2D:
-			if i+1 < len(s.Layers) {
-				if r, ok := s.Layers[i+1].(*ReLU); ok {
-					x = l.inferFused(x, ws, r.Slope)
-					i++
-					continue
-				}
-			}
-			x = l.Infer(x, ws)
-		default:
-			x = s.Layers[i].Infer(x, ws)
-		}
-	}
-	return x
+	return infer(s, x, ws, nil)
 }
 
-// Infer runs every branch on x and concatenates along channels. The
-// branch outputs are collected on the stack (the paper's inception
-// modules have at most four branches; append spills a wider module to
-// the heap), so the layer itself holds no inference scratch.
+// Infer runs every branch on x and concatenates along channels (infer).
 func (l *ConcatBranches) Infer(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	var buf [4]*tensor.Tensor
-	outs := buf[:0]
-	for _, b := range l.Branches {
-		outs = append(outs, b.Infer(x, ws))
+	return infer(l, x, ws, nil)
+}
+
+// infer is the one inference walk of a layer tree. A Sequential chains
+// its layers, fusing each Conv2D/Deconv2D with an immediately following
+// ReLU into one kernel with a fused bias+activation epilogue; a
+// ConcatBranches concatenates its branches' outputs, collected on the
+// stack (the paper's inception modules have at most four branches); every
+// Conv2D runs through q.conv (a nil q runs float32); any other layer runs
+// its own Infer. q is a pointer, not a func value, so passing it down the
+// recursion allocates nothing.
+func infer(l Layer, x *tensor.Tensor, ws *tensor.Workspace, q *Quantizer) *tensor.Tensor {
+	switch t := l.(type) {
+	case *Sequential:
+		for i := 0; i < len(t.Layers); i++ {
+			switch l := t.Layers[i].(type) {
+			case *Conv2D:
+				ep, fused := fuseReLU(t.Layers[i+1:], l.Bias.W)
+				i += fused
+				x = q.conv(l, x, ws, ep)
+			case *Deconv2D:
+				// Deconvolutions stay float32 under a Quantizer because
+				// the int8 path has no transposed lowering yet (int8
+				// GEMM, int32 col2im, one dequantize). They are not
+				// cheap: the decoder deconvs are 2.87 GF of a 256-px
+				// PaperConfig pass.
+				ep, fused := fuseReLU(t.Layers[i+1:], l.Bias.W)
+				i += fused
+				x = tensor.Deconv2DInfer(ws, x, l.Weight.W, l.Opts, ep)
+			default:
+				x = infer(l, x, ws, q)
+			}
+		}
+		return x
+	case *ConcatBranches:
+		var buf [4]*tensor.Tensor
+		outs := buf[:0]
+		for _, b := range t.Branches {
+			outs = append(outs, infer(b, x, ws, q))
+		}
+		return tensor.ConcatChannelsInfer(ws, outs...)
+	case *Conv2D:
+		return q.conv(t, x, ws, tensor.Epilogue{Bias: t.Bias.W})
+	default:
+		return l.Infer(x, ws)
 	}
-	return tensor.ConcatChannelsInfer(ws, outs...)
+}
+
+// fuseReLU returns the epilogue of a conv or deconv with bias b, folding
+// in the layer after it, rest[0], when that is a ReLU, and the number of
+// layers of rest it folded in (0 or 1).
+func fuseReLU(rest []Layer, b *tensor.Tensor) (tensor.Epilogue, int) {
+	ep := tensor.Epilogue{Bias: b}
+	if len(rest) > 0 {
+		if r, ok := rest[0].(*ReLU); ok {
+			ep.Act, ep.Slope = true, r.Slope
+			return ep, 1
+		}
+	}
+	return ep, 0
 }

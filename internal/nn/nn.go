@@ -33,7 +33,10 @@ func newParam(name string, shape ...int) *Param {
 // caches state; Backward consumes dL/d(output) and returns dL/d(input),
 // accumulating parameter gradients along the way. Infer is the
 // allocation-free forward path (infer.go): it writes nothing to the
-// layer, so one layer may serve Infer calls from many goroutines.
+// layer, so one layer may serve Infer calls from many goroutines. The
+// layers with weights (Conv2D, Deconv2D, Dense) compute Forward by
+// caching their input and calling Infer with a nil workspace, so each
+// layer's forward arithmetic exists once.
 type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(gy *tensor.Tensor) *tensor.Tensor
@@ -70,7 +73,7 @@ func NewConv2D(name string, in, out, kernel, stride, padding int, rng *rand.Rand
 
 func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
-	return tensor.Conv2D(x, l.Weight.W, l.Bias.W, l.Opts)
+	return l.Infer(x, nil)
 }
 
 func (l *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
@@ -106,7 +109,7 @@ func NewDeconv2D(name string, in, out, kernel, stride, padding int, rng *rand.Ra
 
 func (l *Deconv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
-	return tensor.Deconv2D(x, l.Weight.W, l.Bias.W, l.Opts)
+	return l.Infer(x, nil)
 }
 
 func (l *Deconv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
@@ -249,15 +252,7 @@ func (l *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense(%d→%d) got input %v", l.In, l.Out, x.Shape()))
 	}
 	l.x = x
-	y := tensor.MatMul(x, l.Weight.W)
-	n := y.Dim(0)
-	for i := 0; i < n; i++ {
-		row := y.Data()[i*l.Out : (i+1)*l.Out]
-		for j := range row {
-			row[j] += l.Bias.W.Data()[j]
-		}
-	}
-	return y
+	return l.Infer(x, nil)
 }
 
 func (l *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
@@ -345,7 +340,7 @@ func (l *ConcatBranches) Forward(x *tensor.Tensor) *tensor.Tensor {
 		outs[i] = b.Forward(x)
 		l.outC = append(l.outC, outs[i].Dim(1))
 	}
-	return tensor.ConcatChannels(outs...)
+	return tensor.ConcatChannelsInfer(nil, outs...)
 }
 
 func (l *ConcatBranches) Backward(gy *tensor.Tensor) *tensor.Tensor {

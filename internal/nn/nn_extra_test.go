@@ -52,7 +52,7 @@ func TestConcatBranchesSingleBranchIsIdentityComposition(t *testing.T) {
 	x := tensor.New(1, 2, 4, 4)
 	x.RandN(rng, 1)
 	y1 := cb.Forward(x)
-	y2 := tensor.Conv2D(x, conv.Weight.W, conv.Bias.W, conv.Opts)
+	y2 := tensor.Conv2DInfer(nil, x, conv.Weight.W, conv.Opts, tensor.Epilogue{Bias: conv.Bias.W})
 	for i := range y1.Data() {
 		if y1.Data()[i] != y2.Data()[i] {
 			t.Fatal("single-branch concat must equal the branch itself")

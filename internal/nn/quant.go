@@ -15,20 +15,21 @@ import (
 // epilogue constants).
 //
 // Lifecycle: Observe one or more calibration inputs through each tree
-// (a float32 walk that records every conv's input range), Freeze once,
-// then Infer runs the same walk with each calibrated conv replaced by
-// tensor.QConv2DInfer. Only Conv2D layers quantize; Deconv2D, pooling,
-// activation and concatenation run float32 between quantized convs, so
-// every conv consumes float32 inputs and re-quantizes against its own
-// calibrated per-tensor range.
+// (a float32 pass that records every conv's input range), Freeze once,
+// then Infer runs each calibrated conv as tensor.QConv2DInfer. Only
+// Conv2D layers quantize; Deconv2D, pooling, activation and
+// concatenation run float32 between quantized convs, so every conv
+// consumes float32 inputs and re-quantizes against its own calibrated
+// per-tensor range. Both passes run Sequential.Infer's own layer walk
+// (infer.go), which hands every Conv2D to the Quantizer's conv step with
+// the epilogue it would fuse in float32, so a Quantizer with no frozen
+// plans reproduces the float32 inference path bit for bit.
 //
 // Calibration (Observe, Freeze) writes the Quantizer and runs on one
 // goroutine. A frozen Quantizer is read-only: Infer reads its plans and
 // writes only the caller's workspace, so one Quantizer serves every
 // model view that shares the calibrated layers, from any number of
-// goroutines. The walk mirrors Sequential.Infer exactly — including the
-// Conv/Deconv+ReLU fusion lookahead — so a Quantizer with no frozen
-// plans reproduces the float32 inference path bit for bit.
+// goroutines.
 type Quantizer struct {
 	order  []*Conv2D // deterministic walk order, for Freeze and signatures
 	ranges map[*Conv2D]*tensor.QuantRange
@@ -52,7 +53,7 @@ func (q *Quantizer) Observe(l Layer, x *tensor.Tensor, ws *tensor.Workspace) *te
 	if q.frozen {
 		panic("nn: Quantizer.Observe after Freeze")
 	}
-	return q.walk(l, x, ws, false)
+	return infer(l, x, ws, q)
 }
 
 // Freeze quantizes the weights of every observed conv per output
@@ -82,9 +83,13 @@ func (q *Quantizer) NumQuantized() int { return len(q.plans) }
 
 // Infer runs the int8 inference walk over l: calibrated convs execute
 // tensor.QConv2DInfer (with the same fused bias+activation epilogue the
-// float32 path would use), everything else runs its float32 Infer.
+// float32 path would use), everything else runs its float32 Infer. It
+// panics before Freeze.
 func (q *Quantizer) Infer(l Layer, x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	return q.walk(l, x, ws, true)
+	if !q.frozen {
+		panic("nn: Quantizer.Infer before Freeze")
+	}
+	return infer(l, x, ws, q)
 }
 
 // WriteSignature writes a deterministic encoding of the calibration
@@ -107,83 +112,18 @@ func (q *Quantizer) WriteSignature(w io.Writer) {
 	}
 }
 
-// walk dispatches one layer through the quantization-aware inference
-// traversal. quant=false is the calibration pass (float32 compute,
-// range taps before each conv); quant=true is the int8 pass.
-func (q *Quantizer) walk(l Layer, x *tensor.Tensor, ws *tensor.Workspace, quant bool) *tensor.Tensor {
-	switch t := l.(type) {
-	case *Sequential:
-		return q.walkSeq(t, x, ws, quant)
-	case *ConcatBranches:
-		return q.walkConcat(t, x, ws, quant)
-	case *Conv2D:
-		return q.conv(t, x, ws, quant, tensor.Epilogue{Bias: t.Bias.W})
-	default:
-		return l.Infer(x, ws)
-	}
-}
-
-// walkSeq mirrors Sequential.Infer, including its Conv2D/Deconv2D+ReLU
-// fusion lookahead, with conv execution routed through q.conv and
-// nested containers routed back through q.walk.
-func (q *Quantizer) walkSeq(s *Sequential, x *tensor.Tensor, ws *tensor.Workspace, quant bool) *tensor.Tensor {
-	for i := 0; i < len(s.Layers); i++ {
-		switch l := s.Layers[i].(type) {
-		case *Conv2D:
-			ep := tensor.Epilogue{Bias: l.Bias.W}
-			if i+1 < len(s.Layers) {
-				if r, ok := s.Layers[i+1].(*ReLU); ok {
-					ep.Act, ep.Slope = true, r.Slope
-					i++
-				}
-			}
-			x = q.conv(l, x, ws, quant, ep)
-		case *Deconv2D:
-			// Deconvolutions stay float32 because the int8 path has
-			// no transposed lowering yet (int8 GEMM, int32 col2im,
-			// one dequantize). They are not cheap: the decoder
-			// deconvs are 2.87 GF of a 256-px PaperConfig pass.
-			if i+1 < len(s.Layers) {
-				if r, ok := s.Layers[i+1].(*ReLU); ok {
-					x = l.inferFused(x, ws, r.Slope)
-					i++
-					continue
-				}
-			}
-			x = l.Infer(x, ws)
-		case *Sequential:
-			x = q.walkSeq(l, x, ws, quant)
-		case *ConcatBranches:
-			x = q.walkConcat(l, x, ws, quant)
-		default:
-			x = s.Layers[i].Infer(x, ws)
-		}
-	}
-	return x
-}
-
-// walkConcat mirrors ConcatBranches.Infer, branch outputs on the stack
-// included, with branches routed through q.walk.
-func (q *Quantizer) walkConcat(l *ConcatBranches, x *tensor.Tensor, ws *tensor.Workspace, quant bool) *tensor.Tensor {
-	var buf [4]*tensor.Tensor
-	outs := buf[:0]
-	for _, b := range l.Branches {
-		outs = append(outs, q.walk(b, x, ws, quant))
-	}
-	return tensor.ConcatChannelsInfer(ws, outs...)
-}
-
-// conv executes one convolution under the traversal: on the calibration
-// pass it taps the input range then runs float32; on the int8 pass it
-// runs the quantized conv when a plan exists, float32 otherwise.
-func (q *Quantizer) conv(l *Conv2D, x *tensor.Tensor, ws *tensor.Workspace, quant bool, ep tensor.Epilogue) *tensor.Tensor {
-	if quant {
-		if plan := q.plans[l]; plan != nil {
+// conv is the inference walk's conv step (infer). A nil q runs the
+// float32 conv. An unfrozen q taps the input range, then runs float32; a
+// frozen one runs the conv's int8 plan when it has one, float32
+// otherwise.
+func (q *Quantizer) conv(l *Conv2D, x *tensor.Tensor, ws *tensor.Workspace, ep tensor.Epilogue) *tensor.Tensor {
+	if q != nil {
+		if !q.frozen {
+			q.rangeFor(l).ObserveSlice(x.Data())
+		} else if plan := q.plans[l]; plan != nil {
 			return tensor.QConv2DInfer(ws, x, plan, l.Opts, ep)
 		}
-		return tensor.Conv2DInfer(ws, x, l.Weight.W, l.Opts, ep)
 	}
-	q.rangeFor(l).ObserveSlice(x.Data())
 	return tensor.Conv2DInfer(ws, x, l.Weight.W, l.Opts, ep)
 }
 

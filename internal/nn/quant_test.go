@@ -109,10 +109,21 @@ func TestQuantizerObserveMatchesInfer(t *testing.T) {
 }
 
 // TestQuantizerSignature checks the calibration signature is
-// deterministic and sensitive to the calibration data.
+// deterministic and sensitive to the calibration data, and that an
+// unfrozen quantizer refuses to run int8 inference.
 func TestQuantizerSignature(t *testing.T) {
 	net := quantTestNet(11)
 	ws := tensor.NewWorkspace()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Quantizer.Infer before Freeze did not panic")
+			}
+		}()
+		q := NewQuantizer()
+		q.Observe(net, quantTestInput(20), ws)
+		q.Infer(net, quantTestInput(20), ws)
+	}()
 	sig := func(inputSeed int64) []byte {
 		q := NewQuantizer()
 		q.Observe(net, quantTestInput(inputSeed), ws)

@@ -99,11 +99,9 @@ type Config struct {
 	// path unarmed (requests asking for it answer 400).
 	Calibration []*tensor.Tensor
 	// IdleTrim is how long the server must sit idle before per-clone
-	// workspaces are trimmed (0 = 1 min; negative = never trim).
+	// workspaces are trimmed, releasing all their retained scratch
+	// (0 = 1 min; negative = never trim).
 	IdleTrim time.Duration
-	// TrimFloats is the per-workspace float32 budget left after an idle
-	// trim; 0 releases all retained scratch.
-	TrimFloats int
 	// Registry receives every serve/pool/model instrument and backs
 	// GET /metrics. nil = a fresh private registry (see Server.Registry).
 	// A registry must not be shared between Servers: the second New would
@@ -882,10 +880,10 @@ func (s *Server) trimLoop() {
 	}
 }
 
-// trimIdleWorkers trims every worker currently parked in the pool. Busy
-// workers are skipped — they are not idle, and they update their own
-// footprint when they finish. Workers are removed from the pool while
-// being trimmed so no request can race the workspace.
+// trimIdleWorkers releases all retained scratch of every worker parked
+// in the pool. Busy workers are skipped — they are not idle, and they
+// update their own footprint when they finish. Workers are removed from
+// the pool while being trimmed so no request can race the workspace.
 func (s *Server) trimIdleWorkers() {
 	var parked []*worker
 drain:
@@ -898,7 +896,7 @@ drain:
 		}
 	}
 	for _, wk := range parked {
-		wk.m.TrimWorkspace(s.cfg.TrimFloats)
+		wk.m.TrimWorkspace(0)
 		wk.footprint.Store(int64(wk.m.TotalWorkspaceFootprint()) * 4)
 		s.pool <- wk
 	}

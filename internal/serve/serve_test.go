@@ -17,6 +17,7 @@ import (
 
 	"rhsd/internal/hsd"
 	"rhsd/internal/layout"
+	"rhsd/internal/parallel"
 	"rhsd/internal/tensor"
 )
 
@@ -499,6 +500,33 @@ func TestPanicBoundary(t *testing.T) {
 	}
 	if s.met.respServer.Value() != 1 {
 		t.Fatalf("server error counter = %d", s.met.respServer.Value())
+	}
+}
+
+// TestScanWorkerPanicAnswers500 pins the panic boundary on the scan
+// workers: one pooled model at two compute workers fans each scan's
+// megatiles out to worker goroutines, and a kernel panic there must
+// answer 500 rather than take the daemon down.
+func TestScanWorkerPanicAnswers500(t *testing.T) {
+	prev := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(prev)
+	s, ts := newTestServer(t, Config{
+		Pool: 1, MegatileFactor: 1,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}, nil)
+	s.workers[0].m.Anchors = nil // every megatile's detection now panics
+
+	resp, data := postLayout(t, ts.URL, layoutBody(t, testLayout(testConfig())))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking scan: status %d body %s, want 500", resp.StatusCode, data)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a worker panic: %d", resp.StatusCode)
 	}
 }
 

@@ -36,7 +36,7 @@ func BenchmarkConv2D(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2D(x, w, bias, o)
+		Conv2DInfer(nil, x, w, o, Epilogue{Bias: bias})
 	}
 }
 

@@ -60,38 +60,8 @@ func Col2Im(col *Tensor, c, h, w int, o ConvOpts) *Tensor {
 	return x
 }
 
-// Conv2D applies weights wgt [OC, C, K, K] and bias [OC] (bias may be nil)
-// to a batch x [N, C, H, W], returning [N, OC, OH, OW].
-func Conv2D(x, wgt, bias *Tensor, o ConvOpts) *Tensor {
-	o.check()
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oc := wgt.shape[0]
-	if wgt.shape[1] != c || wgt.shape[2] != o.Kernel || wgt.shape[3] != o.Kernel {
-		panic(fmt.Sprintf("tensor: Conv2D weight %v incompatible with input %v opts %+v",
-			wgt.shape, x.shape, o))
-	}
-	oh, ow := o.OutDim(h), o.OutDim(w)
-	out := New(n, oc, oh, ow)
-	wmat := wgt.Reshape(oc, c*o.Kernel*o.Kernel)
-	// Batch items write disjoint output planes, so they fan out over the
-	// worker pool; with a single item the inner Gemm/Im2Col parallelise
-	// instead.
-	parallel.For(n, 1, func(n0, n1 int) {
-		for i := n0; i < n1; i++ {
-			xi := FromSlice(x.data[i*c*h*w:(i+1)*c*h*w], c, h, w)
-			col := Im2Col(xi, o)
-			dst := out.data[i*oc*oh*ow : (i+1)*oc*oh*ow]
-			Gemm(false, false, oc, oh*ow, c*o.Kernel*o.Kernel, 1, wmat.data, col.data, 0, dst)
-		}
-	})
-	if bias != nil {
-		addChannelBias(out, bias)
-	}
-	return out
-}
-
-// Conv2DBackward computes the gradients of a Conv2D application given the
-// upstream gradient gy [N, OC, OH, OW]. It returns dx and accumulates into
+// Conv2DBackward computes the gradients of a Conv2DInfer application given
+// the upstream gradient gy [N, OC, OH, OW]. It returns dx and accumulates into
 // dw [OC,C,K,K] and db [OC] when they are non-nil.
 func Conv2DBackward(x, wgt, gy, dw, db *Tensor, o ConvOpts) (dx *Tensor) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
@@ -144,45 +114,9 @@ func Conv2DBackward(x, wgt, gy, dw, db *Tensor, o ConvOpts) (dx *Tensor) {
 	return dx
 }
 
-// Deconv2D applies a transposed convolution ("deconvolution" in the paper's
-// decoder, §3.1.1) with weights wgt [C, OC, K, K] to x [N, C, H, W],
-// producing [N, OC, OH, OW] where OH = (H-1)*stride - 2*pad + K. It is the
-// exact adjoint of Conv2D with the same geometry, so gradient checking the
-// pair validates both.
-func Deconv2D(x, wgt, bias *Tensor, o ConvOpts) *Tensor {
-	o.check()
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	if wgt.shape[0] != c || wgt.shape[2] != o.Kernel || wgt.shape[3] != o.Kernel {
-		panic(fmt.Sprintf("tensor: Deconv2D weight %v incompatible with input %v", wgt.shape, x.shape))
-	}
-	oc := wgt.shape[1]
-	oh := (h-1)*o.Stride - 2*o.Padding + o.Kernel
-	ow := (w-1)*o.Stride - 2*o.Padding + o.Kernel
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Deconv2D produces non-positive output %dx%d", oh, ow))
-	}
-	out := New(n, oc, oh, ow)
-	kk := oc * o.Kernel * o.Kernel
-	wmat := wgt.Reshape(c, kk)
-	parallel.For(n, 1, func(n0, n1 int) {
-		for i := n0; i < n1; i++ {
-			xi := x.data[i*c*h*w : (i+1)*c*h*w]
-			// col = Wᵀ · x, then col2im scatters into the larger output plane.
-			col := New(kk, h*w)
-			Gemm(true, false, kk, h*w, c, 1, wmat.data, xi, 0, col.data)
-			oi := Col2Im(col, oc, oh, ow, o)
-			copy(out.data[i*oc*oh*ow:(i+1)*oc*oh*ow], oi.data)
-		}
-	})
-	if bias != nil {
-		addChannelBias(out, bias)
-	}
-	return out
-}
-
-// Deconv2DBackward computes gradients for Deconv2D. gy has the output shape
-// [N, OC, OH, OW]; it returns dx [N,C,H,W] and accumulates dw/db when
-// non-nil.
+// Deconv2DBackward computes gradients for Deconv2DInfer. gy has the
+// output shape [N, OC, OH, OW]; it returns dx [N,C,H,W] and accumulates
+// dw/db when non-nil.
 func Deconv2DBackward(x, wgt, gy, dw, db *Tensor, o ConvOpts) (dx *Tensor) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oc := wgt.shape[1]
@@ -225,23 +159,6 @@ func Deconv2DBackward(x, wgt, gy, dw, db *Tensor, o ConvOpts) (dx *Tensor) {
 		accumChannelBiasGrad(gy, db)
 	}
 	return dx
-}
-
-func addChannelBias(t, bias *Tensor) {
-	n, c := t.shape[0], t.shape[1]
-	if n == 0 || c == 0 {
-		return
-	}
-	plane := t.Size() / (n * c)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			b := bias.data[ch]
-			seg := t.data[(i*c+ch)*plane : (i*c+ch+1)*plane]
-			for j := range seg {
-				seg[j] += b
-			}
-		}
-	}
 }
 
 func accumChannelBiasGrad(gy, db *Tensor) {
@@ -362,35 +279,9 @@ func MaxPool2DBackward(gy *Tensor, arg []int32, n, c, h, w, oh, ow int) *Tensor 
 	return dx
 }
 
-// ConcatChannels concatenates NCHW tensors along the channel axis. All
-// inputs must agree on N, H and W.
-func ConcatChannels(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: ConcatChannels needs at least one input")
-	}
-	n, h, w := ts[0].shape[0], ts[0].shape[2], ts[0].shape[3]
-	totalC := 0
-	for _, t := range ts {
-		if t.shape[0] != n || t.shape[2] != h || t.shape[3] != w {
-			panic(fmt.Sprintf("tensor: ConcatChannels mismatch %v vs %v", ts[0].shape, t.shape))
-		}
-		totalC += t.shape[1]
-	}
-	out := New(n, totalC, h, w)
-	plane := h * w
-	for i := 0; i < n; i++ {
-		off := i * totalC * plane
-		for _, t := range ts {
-			c := t.shape[1]
-			copy(out.data[off:off+c*plane], t.data[i*c*plane:(i+1)*c*plane])
-			off += c * plane
-		}
-	}
-	return out
-}
-
-// SplitChannels is the inverse of ConcatChannels: it slices t [N,C,H,W]
-// into tensors with the given channel counts (which must sum to C).
+// SplitChannels is the inverse of ConcatChannelsInfer: it slices t
+// [N,C,H,W] into tensors with the given channel counts (which must sum
+// to C).
 func SplitChannels(t *Tensor, channels ...int) []*Tensor {
 	n, c, h, w := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
 	sum := 0

@@ -13,9 +13,9 @@ func TestConv2DNilBias(t *testing.T) {
 	x.RandN(rng, 1)
 	w.RandN(rng, 1)
 	o := ConvOpts{Kernel: 3, Stride: 1, Padding: 1}
-	y := Conv2D(x, w, nil, o)
+	y := Conv2DInfer(nil, x, w, o, Epilogue{})
 	zero := New(3)
-	want := Conv2D(x, w, zero, o)
+	want := Conv2DInfer(nil, x, w, o, Epilogue{Bias: zero})
 	for i := range y.Data() {
 		if y.Data()[i] != want.Data()[i] {
 			t.Fatal("nil bias must equal zero bias")
@@ -29,7 +29,7 @@ func TestConv2DRejectsMismatchedWeights(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Conv2D(New(1, 3, 4, 4), New(2, 2, 3, 3), nil, ConvOpts{Kernel: 3, Stride: 1, Padding: 1})
+	Conv2DInfer(nil, New(1, 3, 4, 4), New(2, 2, 3, 3), ConvOpts{Kernel: 3, Stride: 1, Padding: 1}, Epilogue{})
 }
 
 func TestConv2DBatchIndependence(t *testing.T) {
@@ -42,11 +42,11 @@ func TestConv2DBatchIndependence(t *testing.T) {
 	w.RandN(rng, 1)
 	b.RandN(rng, 1)
 	o := ConvOpts{Kernel: 3, Stride: 1, Padding: 1}
-	y := Conv2D(x, w, b, o)
+	y := Conv2DInfer(nil, x, w, o, Epilogue{Bias: b})
 	for i := 0; i < 3; i++ {
 		xi := New(1, 2, 6, 6)
 		copy(xi.Data(), x.Data()[i*2*36:(i+1)*2*36])
-		yi := Conv2D(xi, w, b, o)
+		yi := Conv2DInfer(nil, xi, w, o, Epilogue{Bias: b})
 		for j := range yi.Data() {
 			if math.Abs(float64(yi.Data()[j]-y.Data()[i*len(yi.Data())+j])) > 1e-5 {
 				t.Fatalf("batch entry %d differs at %d", i, j)
@@ -63,10 +63,10 @@ func TestConv2DLinearity(t *testing.T) {
 	x.RandN(rng, 1)
 	w.RandN(rng, 1)
 	o := ConvOpts{Kernel: 3, Stride: 1, Padding: 1}
-	y1 := Conv2D(x, w, nil, o)
+	y1 := Conv2DInfer(nil, x, w, o, Epilogue{})
 	x2 := x.Clone()
 	x2.Scale(2.5)
-	y2 := Conv2D(x2, w, nil, o)
+	y2 := Conv2DInfer(nil, x2, w, o, Epilogue{})
 	for i := range y1.Data() {
 		if math.Abs(float64(y2.Data()[i]-2.5*y1.Data()[i])) > 1e-4 {
 			t.Fatal("convolution must be linear in the input")
@@ -83,10 +83,10 @@ func TestConv2DTranslationEquivariance(t *testing.T) {
 	o := ConvOpts{Kernel: 3, Stride: 1, Padding: 1}
 	x := New(1, 1, 10, 10)
 	x.Set(1, 0, 0, 4, 4)
-	y1 := Conv2D(x, w, nil, o)
+	y1 := Conv2DInfer(nil, x, w, o, Epilogue{})
 	xs := New(1, 1, 10, 10)
 	xs.Set(1, 0, 0, 4, 5)
-	y2 := Conv2D(xs, w, nil, o)
+	y2 := Conv2DInfer(nil, xs, w, o, Epilogue{})
 	// Compare interiors offset by one column.
 	for yy := 2; yy < 8; yy++ {
 		for xx := 2; xx < 7; xx++ {
@@ -166,14 +166,14 @@ func TestDeconvStride1KernelFlipRelation(t *testing.T) {
 	w := New(1, 1, 3, 3) // [C=1, OC=1, 3, 3]
 	w.RandN(rng, 1)
 	o := ConvOpts{Kernel: 3, Stride: 1, Padding: 1}
-	y := Deconv2D(x, w, nil, o)
+	y := Deconv2DInfer(nil, x, w, o, Epilogue{})
 	flipped := New(1, 1, 3, 3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			flipped.Set(w.At(0, 0, 2-i, 2-j), 0, 0, i, j)
 		}
 	}
-	want := Conv2D(x, flipped, nil, o)
+	want := Conv2DInfer(nil, x, flipped, o, Epilogue{})
 	for i := range y.Data() {
 		if math.Abs(float64(y.Data()[i]-want.Data()[i])) > 1e-4 {
 			t.Fatalf("deconv/flip-conv duality broken at %d: %v vs %v",

@@ -7,18 +7,18 @@ import (
 	"rhsd/internal/parallel"
 )
 
-// This file holds the inference-only variants of the convolution kernels.
-// They differ from the training entry points (conv.go) in exactly two
-// ways: all scratch and output memory comes from a caller-owned Workspace
-// instead of the heap, and the bias + leaky-ReLU epilogue is fused into
-// the output — finished tile by tile inside the packed GEMM on the fused
-// conv path, in one sweep after the product otherwise. The arithmetic —
-// values, accumulation order, padding semantics — is identical, so
-// inference results match the training-path Forward bit for bit.
+// This file holds the forward kernels of convolution, deconvolution and
+// channel concatenation that training and inference share, plus
+// inference max pooling. Memory comes from a caller-owned Workspace; a
+// nil one allocates, which is how training's Forward calls them. The
+// bias + leaky-ReLU epilogue is fused into the output — finished tile by
+// tile inside the packed GEMM on the fused conv path, in one sweep after
+// the product otherwise — with the add-then-scale sequence of a separate
+// activation layer, so a fused pass matches the unfused one bit for bit.
 
 // Epilogue describes the fused per-channel tail of a convolution: an
 // optional bias add followed by an optional leaky ReLU. Applying it in
-// one sweep performs the same add-then-scale sequence as addChannelBias
+// one sweep performs the same add-then-scale sequence as a bias add
 // followed by an activation layer, so fused and unfused paths agree
 // exactly.
 type Epilogue struct {
@@ -209,8 +209,9 @@ func addRunsGo(dst, src []float32, rows, n, ds, ss int) {
 	}
 }
 
-// Conv2DInfer is Conv2D with workspace-backed output and scratch plus a
-// fused epilogue. ws may be nil (falls back to plain allocation).
+// Conv2DInfer applies weights wgt [OC, C, K, K] to a batch x [N, C, H, W],
+// returning [N, OC, OH, OW] with the epilogue ep (bias, activation)
+// applied. Output and scratch come from ws; a nil ws allocates.
 func Conv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor {
 	o.check()
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
@@ -293,8 +294,11 @@ func conv2dInferItems(sc *ProfileScope, xd, wd, colsAll, od []float32, c, h, w, 
 	}
 }
 
-// Deconv2DInfer is Deconv2D with workspace-backed memory and a fused
-// epilogue.
+// Deconv2DInfer applies a transposed convolution (the paper's decoder,
+// §3.1.1) with weights wgt [C, OC, K, K] to x [N, C, H, W], producing
+// [N, OC, OH, OW] with OH = (H-1)*stride - 2*pad + K and ep applied —
+// the adjoint of Conv2DInfer with the same geometry. Memory comes from
+// ws; a nil ws allocates.
 func Deconv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor {
 	o.check()
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
@@ -352,7 +356,9 @@ func MaxPool2DInfer(ws *Workspace, x *Tensor, kernel, stride int) *Tensor {
 	return out
 }
 
-// ConcatChannelsInfer is ConcatChannels with workspace-backed output.
+// ConcatChannelsInfer concatenates NCHW tensors along the channel axis
+// into memory from ws (a nil ws allocates). All inputs must agree on N,
+// H and W.
 func ConcatChannelsInfer(ws *Workspace, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: ConcatChannelsInfer needs at least one input")

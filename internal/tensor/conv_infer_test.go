@@ -30,9 +30,11 @@ func assertTensorBits(t *testing.T, label string, want, got *Tensor) {
 	}
 }
 
-// TestConvInferMatchesTraining checks the workspace/fused-epilogue conv
-// kernels against the allocating training-path kernels bit for bit, for
-// both a fresh and a recycled (dirty) workspace.
+// TestConvInferMatchesTraining checks the forward kernels on a workspace
+// against the same kernels with a nil workspace — the allocating form
+// training's Forward runs — bit for bit, for both a fresh and a recycled
+// (dirty) workspace, and the fused epilogue against an unfused
+// activation.
 func TestConvInferMatchesTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ws := NewWorkspace()
@@ -44,7 +46,7 @@ func TestConvInferMatchesTraining(t *testing.T) {
 	fillRand(wgt, rng)
 	fillRand(bias, rng)
 
-	want := Conv2D(x, wgt, bias, o)
+	want := Conv2DInfer(nil, x, wgt, o, Epilogue{Bias: bias})
 	for pass := 0; pass < 2; pass++ { // second pass runs on dirty buffers
 		ws.Reset()
 		got := Conv2DInfer(ws, x, wgt, o, Epilogue{Bias: bias})
@@ -67,7 +69,7 @@ func TestConvInferMatchesTraining(t *testing.T) {
 	dbias := New(5)
 	fillRand(dwgt, rng)
 	fillRand(dbias, rng)
-	dwant := Deconv2D(x, dwgt, dbias, o)
+	dwant := Deconv2DInfer(nil, x, dwgt, o, Epilogue{Bias: dbias})
 	for pass := 0; pass < 2; pass++ {
 		ws.Reset()
 		dgot := Deconv2DInfer(ws, x, dwgt, o, Epilogue{Bias: dbias})
@@ -83,7 +85,7 @@ func TestConvInferMatchesTraining(t *testing.T) {
 	b := New(1, 3, 4, 4)
 	fillRand(a, rng)
 	fillRand(b, rng)
-	cwant := ConcatChannels(a, b)
+	cwant := ConcatChannelsInfer(nil, a, b)
 	ws.Reset()
 	cgot := ConcatChannelsInfer(ws, a, b)
 	assertTensorBits(t, "concat infer", cwant, cgot)

@@ -116,7 +116,7 @@ func TestConv2DParityAcrossWorkerCounts(t *testing.T) {
 		bias.RandN(rng, 1)
 		run := func(workers int) []float32 {
 			return runAtWorkers(workers, func() []float32 {
-				return Conv2D(x, wgt, bias, tc.o).Data()
+				return Conv2DInfer(nil, x, wgt, tc.o, Epilogue{Bias: bias}).Data()
 			})
 		}
 		assertBitIdentical(t, "Conv2D", run(parityWorkersSerial), run(parityWorkersParallel))
@@ -175,7 +175,7 @@ func TestDeconv2DParityAcrossWorkerCounts(t *testing.T) {
 		bias.RandN(rng, 1)
 		run := func(workers int) []float32 {
 			return runAtWorkers(workers, func() []float32 {
-				return Deconv2D(x, wgt, bias, tc.o).Data()
+				return Deconv2DInfer(nil, x, wgt, tc.o, Epilogue{Bias: bias}).Data()
 			})
 		}
 		assertBitIdentical(t, "Deconv2D", run(parityWorkersSerial), run(parityWorkersParallel))

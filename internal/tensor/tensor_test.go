@@ -217,7 +217,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		x.RandN(rng, 1)
 		w.RandN(rng, 1)
 		b.RandN(rng, 1)
-		got := Conv2D(x, w, b, cfg)
+		got := Conv2DInfer(nil, x, w, cfg, Epilogue{Bias: b})
 		want := naiveConv(x, w, b, cfg)
 		if !got.SameShape(want) {
 			t.Fatalf("%+v: shape %v want %v", cfg, got.Shape(), want.Shape())
@@ -259,14 +259,14 @@ func TestConv2DBackwardNumerical(t *testing.T) {
 	b.RandN(rng, 1)
 
 	loss := func() float64 {
-		y := Conv2D(x, w, b, o)
+		y := Conv2DInfer(nil, x, w, o, Epilogue{Bias: b})
 		var s float64
 		for _, v := range y.Data() {
 			s += 0.5 * float64(v) * float64(v)
 		}
 		return s
 	}
-	y := Conv2D(x, w, b, o)
+	y := Conv2DInfer(nil, x, w, o, Epilogue{Bias: b})
 	gy := y.Clone() // dL/dy = y for L = 0.5*sum(y^2)
 	dw := New(3, 2, 3, 3)
 	db := New(3)
@@ -299,7 +299,7 @@ func TestDeconv2DShapeAndAdjoint(t *testing.T) {
 	w := New(2, 3, 3, 3) // [C, OC, K, K]
 	x.RandN(rng, 1)
 	w.RandN(rng, 1)
-	y := Deconv2D(x, w, nil, o)
+	y := Deconv2DInfer(nil, x, w, o, Epilogue{})
 	// OH = (4-1)*2 - 2 + 3 = 7.
 	if y.Shape()[1] != 3 || y.Shape()[2] != 7 || y.Shape()[3] != 7 {
 		t.Fatalf("Deconv2D shape %v", y.Shape())
@@ -315,7 +315,7 @@ func TestDeconv2DShapeAndAdjoint(t *testing.T) {
 	// Conv z with weights reinterpreted: Conv2D expects [OC=C, IC=OC, K, K].
 	wT := New(2, 3, 3, 3)
 	copy(wT.Data(), w.Data())
-	conv := Conv2D(z, wT.Reshape(2, 3, 3, 3), nil, o)
+	conv := Conv2DInfer(nil, z, wT.Reshape(2, 3, 3, 3), o, Epilogue{})
 	rhs := x.Dot(conv)
 	if !almostEq(lhs, rhs, 1e-2*(1+math.Abs(lhs))) {
 		t.Fatalf("deconv/conv adjoint violated: %v vs %v", lhs, rhs)
@@ -332,14 +332,14 @@ func TestDeconv2DBackwardNumerical(t *testing.T) {
 	w.RandN(rng, 1)
 	b.RandN(rng, 1)
 	loss := func() float64 {
-		y := Deconv2D(x, w, b, o)
+		y := Deconv2DInfer(nil, x, w, o, Epilogue{Bias: b})
 		var s float64
 		for _, v := range y.Data() {
 			s += 0.5 * float64(v) * float64(v)
 		}
 		return s
 	}
-	y := Deconv2D(x, w, b, o)
+	y := Deconv2DInfer(nil, x, w, o, Epilogue{Bias: b})
 	dw := New(2, 2, 3, 3)
 	db := New(2)
 	dx := Deconv2DBackward(x, w, y, dw, db, o)
@@ -401,7 +401,7 @@ func TestConcatSplitChannelsRoundtrip(t *testing.T) {
 	b := New(2, 5, 4, 4)
 	a.RandN(rng, 1)
 	b.RandN(rng, 1)
-	cat := ConcatChannels(a, b)
+	cat := ConcatChannelsInfer(nil, a, b)
 	if cat.Shape()[1] != 8 {
 		t.Fatalf("concat channels %v", cat.Shape())
 	}
@@ -423,7 +423,7 @@ func TestConcatChannelsOrderIsPreserved(t *testing.T) {
 	a.Fill(1)
 	b := New(1, 2, 1, 1)
 	b.Fill(2)
-	cat := ConcatChannels(a, b)
+	cat := ConcatChannelsInfer(nil, a, b)
 	if cat.At(0, 0, 0, 0) != 1 || cat.At(0, 1, 0, 0) != 2 || cat.At(0, 2, 0, 0) != 2 {
 		t.Fatalf("concat order wrong: %v", cat.Data())
 	}
