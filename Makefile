@@ -1,9 +1,9 @@
 # Tier-1 verification and developer shortcuts. `make verify` is the
 # gate every PR must keep green: build, vet (also for arm64),
 # formatting, full test suite, the race detector (short mode) over the
-# parallel compute paths and the int8 accuracy gate. Performance is
-# measured by the repository benchmark under perfbench/
-# (perfbench/run.sh), not by make targets.
+# parallel compute paths, one iteration of every benchmark and the int8
+# accuracy gate. Performance is measured by the repository benchmark
+# under perfbench/ (perfbench/run.sh), not by make targets.
 
 GO ?= go
 
@@ -108,15 +108,16 @@ perfbench-build:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench build -o /dev/null .
 
-verify: build vet cross-vet fmt-check perfbench-build test race serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix quant-gate
+verify: build vet cross-vet fmt-check perfbench-build test race bench-smoke serve-smoke obs-smoke cache-smoke trace-smoke kernel-matrix quant-gate
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of every benchmark, to catch bit-rot in bench code
-# without paying full measurement time. The root package only runs the
-# Micro benchmarks: the Table1/Figure10 ones train models in their setup
-# and would dominate the smoke run.
+# without paying full measurement time (part of `make verify`: go test
+# compiles benchmarks but never runs them). The root package only runs
+# the Micro benchmarks: the Table1/Figure10 ones train models in their
+# setup and would dominate the smoke run.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Micro -benchtime=1x .
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...

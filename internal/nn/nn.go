@@ -261,7 +261,12 @@ func (l *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	l.packed = nil
 	// dW += xᵀ·gy ; db += column sums ; dx = gy·Wᵀ
 	n := gy.Dim(0)
-	dw := tensor.MatMulTransA(l.x, gy)
+	// xᵀ·gy lands in its own buffer before the add: a beta = 1 Gemm
+	// straight into the gradient would round differently (the row kernel
+	// adds each product into the running sum, the packed one each KC
+	// block), so training would drift.
+	dw := tensor.New(l.In, l.Out)
+	tensor.Gemm(true, false, l.In, l.Out, n, 1, l.x.Data(), gy.Data(), 0, dw.Data())
 	l.Weight.Grad.Add(dw)
 	for i := 0; i < n; i++ {
 		row := gy.Data()[i*l.Out : (i+1)*l.Out]
@@ -269,7 +274,9 @@ func (l *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
 			l.Bias.Grad.Data()[j] += v
 		}
 	}
-	return tensor.MatMulTransB(gy, l.Weight.W)
+	dx := tensor.New(n, l.In)
+	tensor.Gemm(false, true, n, l.In, l.Out, 1, gy.Data(), l.Weight.W.Data(), 0, dx.Data())
+	return dx
 }
 
 func (l *Dense) Params() []*Param { return []*Param{l.Weight, l.Bias} }

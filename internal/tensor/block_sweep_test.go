@@ -38,7 +38,7 @@ func BenchmarkGemmBlockSweep(b *testing.B) {
 	}
 	kcs := []int{128, 192, 256, 384, 512}
 	ncs := []int{64, 128, 256, 512, 1024}
-	for _, base := range allGemmKernels() {
+	for _, base := range gemmKernels.all {
 		if !archKernelUsable(base) {
 			continue
 		}
@@ -79,7 +79,7 @@ func BenchmarkQGemmBlockSweep(b *testing.B) {
 	}
 	kcs := []int{128, 256, 384, 512, 768, 1024}
 	ncs := []int{64, 128, 256, 512, 1024}
-	for _, base := range allQGemmKernels() {
+	for _, base := range qgemmKernels.all {
 		if !qarchKernelUsable(base) {
 			continue
 		}

@@ -43,122 +43,72 @@ func Im2Col(x *Tensor, o ConvOpts) *Tensor {
 	return col
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a column matrix
-// [C*K*K, OH*OW] back into an image [C,H,W], accumulating overlaps.
-func Col2Im(col *Tensor, c, h, w int, o ConvOpts) *Tensor {
-	o.check()
-	oh, ow := o.OutDim(h), o.OutDim(w)
-	if col.shape[0] != c*o.Kernel*o.Kernel || col.shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with c=%d h=%d w=%d opts %+v",
-			col.shape, c, h, w, o))
-	}
-	x := New(c, h, w)
-	// Each channel scatters only into its own image plane, so channels
-	// parallelise without write conflicts; the ky/kx accumulation order
-	// within a channel is unchanged, keeping results bit-exact.
-	col2imInto(col.data, c, h, w, o, x.data)
-	return x
-}
-
 // Conv2DBackward computes the gradients of a Conv2DInfer application given
 // the upstream gradient gy [N, OC, OH, OW]. It returns dx and accumulates into
 // dw [OC,C,K,K] and db [OC] when they are non-nil.
+//
+// dx is the transposed convolution of gy with the same weights, run by
+// the deconvolution's forward kernel at the input's extent: under a
+// stride above 1 several input extents share one output extent, so the
+// extent cannot be derived from gy.
 func Conv2DBackward(x, wgt, gy, dw, db *Tensor, o ConvOpts) (dx *Tensor) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oc := wgt.shape[0]
-	oh, ow := o.OutDim(h), o.OutDim(w)
-	kk := c * o.Kernel * o.Kernel
-	dx = New(n, c, h, w)
-	wmat := wgt.Reshape(oc, kk)
-	// Batch items are independent except for the dW accumulation. Each
-	// item therefore computes its weight-gradient contribution into a
-	// private buffer and the contributions are reduced in batch order
-	// afterwards — the same one-add-per-item-per-element sequence as the
-	// serial dW += gy·colᵀ loop, so results stay bit-identical. The n==1
-	// case (the detection hot path) skips the buffer and accumulates
-	// directly.
-	var dwParts [][]float32
-	if dw != nil && n > 1 {
-		dwParts = make([][]float32, n)
-	}
-	parallel.For(n, 1, func(n0, n1 int) {
-		for i := n0; i < n1; i++ {
-			xi := FromSlice(x.data[i*c*h*w:(i+1)*c*h*w], c, h, w)
-			gyi := gy.data[i*oc*oh*ow : (i+1)*oc*oh*ow]
-			col := Im2Col(xi, o)
-			if dw != nil {
-				if dwParts != nil {
-					part := make([]float32, oc*kk)
-					Gemm(false, true, oc, kk, oh*ow, 1, gyi, col.data, 0, part)
-					dwParts[i] = part
-				} else {
-					// dW += gy · colᵀ
-					Gemm(false, true, oc, kk, oh*ow, 1, gyi, col.data, 1, dw.data)
-				}
-			}
-			// dcol = Wᵀ · gy, then scatter back to image space.
-			dcol := New(kk, oh*ow)
-			Gemm(true, false, kk, oh*ow, oc, 1, wmat.data, gyi, 0, dcol.data)
-			dxi := Col2Im(dcol, c, h, w, o)
-			copy(dx.data[i*c*h*w:(i+1)*c*h*w], dxi.data)
-		}
-	})
-	for _, part := range dwParts {
-		for e, v := range part {
-			dw.data[e] += v
-		}
+	if dw != nil {
+		weightGrad(dw, gy, x, o)
 	}
 	if db != nil {
 		accumChannelBiasGrad(gy, db)
 	}
-	return dx
+	return deconv2DInto(nil, gy, wgt, o, Epilogue{}, x.shape[2], x.shape[3])
 }
 
 // Deconv2DBackward computes gradients for Deconv2DInfer. gy has the
 // output shape [N, OC, OH, OW]; it returns dx [N,C,H,W] and accumulates
-// dw/db when non-nil.
+// dw/db when non-nil. dx is the convolution of gy with the deconv
+// weights [C, OC, K, K], which are exactly that conv's weights.
 func Deconv2DBackward(x, wgt, gy, dw, db *Tensor, o ConvOpts) (dx *Tensor) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oc := wgt.shape[1]
-	oh := (h-1)*o.Stride - 2*o.Padding + o.Kernel
-	ow := (w-1)*o.Stride - 2*o.Padding + o.Kernel
-	kk := oc * o.Kernel * o.Kernel
-	dx = New(n, c, h, w)
-	wmat := wgt.Reshape(c, kk)
-	// Same deterministic-reduction scheme as Conv2DBackward: private dW
-	// buffers per batch item, reduced in batch order.
-	var dwParts [][]float32
-	if dw != nil && n > 1 {
-		dwParts = make([][]float32, n)
-	}
-	parallel.For(n, 1, func(n0, n1 int) {
-		for i := n0; i < n1; i++ {
-			gyi := FromSlice(gy.data[i*oc*oh*ow:(i+1)*oc*oh*ow], oc, oh, ow)
-			gcol := Im2Col(gyi, o) // [kk, h*w]
-			xi := x.data[i*c*h*w : (i+1)*c*h*w]
-			if dw != nil {
-				if dwParts != nil {
-					part := make([]float32, c*kk)
-					Gemm(false, true, c, kk, h*w, 1, xi, gcol.data, 0, part)
-					dwParts[i] = part
-				} else {
-					// dW[c, kk] += x[c, h*w] · gcolᵀ
-					Gemm(false, true, c, kk, h*w, 1, xi, gcol.data, 1, dw.data)
-				}
-			}
-			// dx = W · gcol
-			Gemm(false, false, c, h*w, kk, 1, wmat.data, gcol.data, 0, dx.data[i*c*h*w:(i+1)*c*h*w])
-		}
-	})
-	for _, part := range dwParts {
-		for e, v := range part {
-			dw.data[e] += v
-		}
+	if dw != nil {
+		weightGrad(dw, x, gy, o)
 	}
 	if db != nil {
 		accumChannelBiasGrad(gy, db)
 	}
-	return dx
+	return Conv2DInfer(nil, gy, wgt, o, Epilogue{})
+}
+
+// weightGrad accumulates Σ_i a_i · Im2Col(img_i)ᵀ into dw [M, C·K·K]
+// for a [N, M, P, Q] and img [N, C, H, W] whose lowering has P·Q
+// columns: the conv weight gradient with a = gy and img = x, the deconv
+// one with a = x and img = gy. Batch items are independent except for
+// the dw accumulation. Each item therefore computes its contribution
+// into a private buffer and the contributions are reduced in batch
+// order afterwards — the same one-add-per-item-per-element sequence as
+// a serial dw += a·colᵀ loop, so results stay bit-identical for every
+// worker count. A single item accumulates straight into dw.
+func weightGrad(dw, a, img *Tensor, o ConvOpts) {
+	n, m, plane := a.shape[0], a.shape[1], a.shape[2]*a.shape[3]
+	c, h, w := img.shape[1], img.shape[2], img.shape[3]
+	kk := c * o.Kernel * o.Kernel
+	var parts [][]float32
+	if n > 1 {
+		parts = make([][]float32, n)
+	}
+	parallel.For(n, 1, func(n0, n1 int) {
+		for i := n0; i < n1; i++ {
+			col := Im2Col(FromSlice(img.data[i*c*h*w:(i+1)*c*h*w], c, h, w), o)
+			ai := a.data[i*m*plane : (i+1)*m*plane]
+			if parts == nil {
+				Gemm(false, true, m, kk, plane, 1, ai, col.data, 1, dw.data)
+				continue
+			}
+			parts[i] = make([]float32, m*kk)
+			Gemm(false, true, m, kk, plane, 1, ai, col.data, 0, parts[i])
+		}
+	})
+	for _, part := range parts {
+		for e, v := range part {
+			dw.data[e] += v
+		}
+	}
 }
 
 func accumChannelBiasGrad(gy, db *Tensor) {

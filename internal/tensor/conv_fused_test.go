@@ -7,8 +7,8 @@ import (
 
 // convFusedShape is a Conv2DInfer problem instance used by the fused
 // im2col tests. Every shape must be fused-eligible (its GEMM must route
-// to the packed sweep), otherwise both toggle settings run the
-// materialized path and the comparison is vacuous.
+// to the packed sweep), otherwise Conv2DInfer itself runs
+// conv2DMaterialized and the comparison is vacuous.
 type convFusedShape struct {
 	n, c, h, w, oc int
 	o              ConvOpts
@@ -64,11 +64,8 @@ func TestConvInferFusedMatchesMaterialized(t *testing.T) {
 			fillRand(bias, rng)
 			ep := Epilogue{Bias: bias, Act: true, Slope: 0.1}
 
-			prev := SetConvFusedIm2col(false)
-			want := Conv2DInfer(nil, x, wgt, sh.o, ep)
-			SetConvFusedIm2col(true)
+			want := conv2DMaterialized(nil, x, wgt, sh.o, ep)
 			got := Conv2DInfer(nil, x, wgt, sh.o, ep)
-			SetConvFusedIm2col(prev)
 			assertTensorBits(t, kr.name+" fused conv", want, got)
 		}
 	}
@@ -95,10 +92,9 @@ func TestConvInferFusedParityAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestConvInferFusedWorkspaceFootprint is the reclamation guard for the
-// fused path: with fusing on, the workspace must never allocate the
-// column-matrix size class at all — the arena retains only the output
-// (plus smaller classes), so there is no dead multi-megabyte bin for
-// Trim to carry. The materialized path at the same shape is measured as
+// fused path: the workspace must never allocate the column-matrix size
+// class at all — the arena retains only the output (plus smaller
+// classes), so there is no dead multi-megabyte bin for Trim to carry. The materialized path at the same shape is measured as
 // a contrast to prove the headroom is real, and steady-state fused
 // passes must be allocation-free.
 func TestConvInferFusedWorkspaceFootprint(t *testing.T) {
@@ -116,9 +112,6 @@ func TestConvInferFusedWorkspaceFootprint(t *testing.T) {
 	fillRand(x, rng)
 	fillRand(wgt, rng)
 
-	prev := SetConvFusedIm2col(true)
-	defer SetConvFusedIm2col(prev)
-
 	ws := NewWorkspace()
 	for pass := 0; pass < 2; pass++ {
 		ws.Reset()
@@ -130,10 +123,8 @@ func TestConvInferFusedWorkspaceFootprint(t *testing.T) {
 	}
 
 	wsMat := NewWorkspace()
-	SetConvFusedIm2col(false)
 	wsMat.Reset()
-	Conv2DInfer(wsMat, x, wgt, sh.o, Epilogue{})
-	SetConvFusedIm2col(true)
+	conv2DMaterialized(wsMat, x, wgt, sh.o, Epilogue{})
 	materialized := wsMat.Footprint()
 	if materialized < colSize {
 		t.Fatalf("materialized footprint %d floats < col size %d: contrast measurement broken", materialized, colSize)
@@ -177,8 +168,6 @@ func TestConvInferFusedRefinementShapes(t *testing.T) {
 		// flops sit below even the reworked unconditional cutoff.
 		{1, 12, 4, 4, 12, ConvOpts{Kernel: 3, Stride: 1, Padding: 1}},
 	}
-	prev := SetConvFusedIm2col(true)
-	defer SetConvFusedIm2col(prev)
 	for _, sh := range shapes {
 		oh, ow := sh.o.OutDim(sh.h), sh.o.OutDim(sh.w)
 		kk := sh.c * sh.o.Kernel * sh.o.Kernel
@@ -196,9 +185,7 @@ func TestConvInferFusedRefinementShapes(t *testing.T) {
 		fillRand(bias, rng)
 		ep := Epilogue{Bias: bias, Act: true, Slope: 0.1}
 
-		SetConvFusedIm2col(false)
-		want := Conv2DInfer(nil, x, wgt, sh.o, ep)
-		SetConvFusedIm2col(true)
+		want := conv2DMaterialized(nil, x, wgt, sh.o, ep)
 		got := Conv2DInfer(nil, x, wgt, sh.o, ep)
 		assertTensorBits(t, "refinement fused conv", want, got)
 

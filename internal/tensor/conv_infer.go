@@ -2,15 +2,16 @@ package tensor
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rhsd/internal/parallel"
 )
 
 // This file holds the forward kernels of convolution, deconvolution and
 // channel concatenation that training and inference share, plus
-// inference max pooling. Memory comes from a caller-owned Workspace; a
-// nil one allocates, which is how training's Forward calls them. The
+// inference max pooling. The backward passes run them too: a conv's
+// input gradient is the deconvolution of its output gradient, and a
+// deconv's the convolution (conv.go). Memory comes from a caller-owned
+// Workspace; a nil one allocates, which is how training calls them. The
 // bias + leaky-ReLU epilogue is fused into the output — finished tile by
 // tile inside the packed GEMM on the fused conv path, in one sweep after
 // the product otherwise — with the add-then-scale sequence of a separate
@@ -132,7 +133,7 @@ func im2colChans(xd []float32, h, w int, o ConvOpts, cd []float32, c0, c1 int) {
 
 // col2imInto scatters a column matrix back into the image buffer xd
 // [c,h,w], zeroing each plane before accumulating so xd may be dirty.
-// The ky/kx accumulation order matches Col2Im exactly.
+// Each pixel adds its (ky, kx) terms in ascending order.
 func col2imInto(cd []float32, c, h, w int, o ConvOpts, xd []float32) {
 	if parallel.Workers() == 1 {
 		col2imChans(cd, h, w, o, xd, 0, c)
@@ -212,6 +213,12 @@ func addRunsGo(dst, src []float32, rows, n, ds, ss int) {
 // Conv2DInfer applies weights wgt [OC, C, K, K] to a batch x [N, C, H, W],
 // returning [N, OC, OH, OW] with the epilogue ep (bias, activation)
 // applied. Output and scratch come from ws; a nil ws allocates.
+//
+// It takes the fused path exactly when the per-item GEMM routes to the
+// packed sweep (gemmUsesPacked); the test is per item, so batching N
+// items into one GEMM (which only widens n) never changes the path a
+// shape takes. Products routed to the row kernel, which walks op(B) by
+// rows, run conv2DMaterialized instead.
 func Conv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor {
 	o.check()
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
@@ -222,22 +229,35 @@ func Conv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor
 	}
 	oh, ow := o.OutDim(h), o.OutDim(w)
 	kk := c * o.Kernel * o.Kernel
+	if !gemmUsesPacked(oc, oh*ow, kk) {
+		return conv2DMaterialized(ws, x, wgt, o, ep)
+	}
+	// Fused path: one packed GEMM for the whole batch, m = OC and
+	// n = N·OH·OW with the items' columns side by side. B panels are
+	// packed straight from the images (bSource.packIm2col), so the
+	// lowered column matrix is never materialized; A is packed once,
+	// not once per item; and each tile lands in its item's channel
+	// planes with the epilogue already applied (cOut). Every element
+	// is the same k-chain and tail as a per-item GEMM would compute.
+	out := ws.Tensor(n, oc, oh, ow)
+	if n > 0 {
+		dst := cOut{data: out.data, cols: oh * ow, item: oc * oh * ow, ep: ep}
+		gemmPackedScoped(gemmKernels.active.Load(), ws.ProfileScope(), false, oc, n*oh*ow, kk, 1, wgt.data, im2colB(x.data, n, c, h, w, o), dst)
+	}
+	return out
+}
+
+// conv2DMaterialized is Conv2DInfer over materialized column matrices:
+// each item is lowered by im2col and multiplied by Gemm, and the
+// epilogue runs in one sweep after. It is the fused path's bit reference
+// (TestConvInferFusedMatchesMaterialized).
+func conv2DMaterialized(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oc := wgt.shape[0]
+	oh, ow := o.OutDim(h), o.OutDim(w)
+	kk := c * o.Kernel * o.Kernel
 	out := ws.Tensor(n, oc, oh, ow)
 	sc := ws.ProfileScope()
-	if convFusedEligible(oc, oh*ow, kk) {
-		// Fused path: one packed GEMM for the whole batch, m = OC and
-		// n = N·OH·OW with the items' columns side by side. B panels are
-		// packed straight from the images (bSource.packIm2col), so the
-		// lowered column matrix is never materialized; A is packed once,
-		// not once per item; and each tile lands in its item's channel
-		// planes with the epilogue already applied (cOut). Every element
-		// is the same k-chain and tail as a per-item GEMM would compute.
-		if n > 0 {
-			dst := cOut{data: out.data, cols: oh * ow, item: oc * oh * ow, ep: ep}
-			gemmPackedScoped(gemmActive.Load(), sc, false, oc, n*oh*ow, kk, 1, wgt.data, im2colB(x.data, n, c, h, w, o), dst)
-		}
-		return out
-	}
 	// One cols buffer for the whole batch, sliced per item: workspace
 	// calls must stay outside the parallel region.
 	colsAll := ws.Get(n * kk * oh * ow)
@@ -251,36 +271,6 @@ func Conv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor
 	ws.Release(colsAll)
 	epilogueSweep(out, ep)
 	return out
-}
-
-// convFusedEnabled gates the fused im2col→packB path; on by default,
-// SetConvFusedIm2col turns it off for benchmark baselines and triage.
-var convFusedEnabled atomic.Bool
-
-func init() { convFusedEnabled.Store(true) }
-
-// SetConvFusedIm2col enables or disables fusing im2col into the packed
-// GEMM's B packer for inference convolutions, returning the previous
-// setting. Both paths are bit-identical (TestConvInferFusedMatches
-// Materialized); the toggle keeps the materialized path as the bit
-// reference those tests pin against and serves as an operational
-// chicken bit.
-func SetConvFusedIm2col(on bool) (prev bool) {
-	return convFusedEnabled.Swap(on)
-}
-
-// convFusedEligible mirrors Gemm's routing decision exactly: a conv
-// whose per-item GEMM routes to the packed sweep packs B straight from
-// the images (never materializing columns), one that routes to the row
-// kernel materializes — the row kernel walks op(B) by rows and needs the
-// lowered matrix. Sharing gemmUsesPacked keeps fused and materialized
-// dispatch bit-identical per shape and extends fusion to the small
-// refinement-stage convs the old 2^17 flop cliff kept on the
-// materialized scalar path. The test is per item, so batching N items
-// into one GEMM (which only widens n) never changes which path a shape
-// takes.
-func convFusedEligible(m, n, k int) bool {
-	return convFusedEnabled.Load() && gemmUsesPacked(m, n, k)
 }
 
 // conv2dInferItems lowers and multiplies batch items [n0, n1).
@@ -301,16 +291,24 @@ func conv2dInferItems(sc *ProfileScope, xd, wd, colsAll, od []float32, c, h, w, 
 // ws; a nil ws allocates.
 func Deconv2DInfer(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue) *Tensor {
 	o.check()
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	if wgt.shape[0] != c || wgt.shape[2] != o.Kernel || wgt.shape[3] != o.Kernel {
+	h, w := x.shape[2], x.shape[3]
+	if wgt.shape[0] != x.shape[1] || wgt.shape[2] != o.Kernel || wgt.shape[3] != o.Kernel {
 		panic(fmt.Sprintf("tensor: Deconv2DInfer weight %v incompatible with input %v", wgt.shape, x.shape))
 	}
-	oc := wgt.shape[1]
 	oh := (h-1)*o.Stride - 2*o.Padding + o.Kernel
 	ow := (w-1)*o.Stride - 2*o.Padding + o.Kernel
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("tensor: Deconv2DInfer produces non-positive output %dx%d", oh, ow))
 	}
+	return deconv2DInto(ws, x, wgt, o, ep, oh, ow)
+}
+
+// deconv2DInto is Deconv2DInfer at an explicit output extent oh×ow, one
+// whose conv under o has x's extent. Conv2DBackward passes the conv
+// input's extent, which the formula above cannot recover at stride 2.
+func deconv2DInto(ws *Workspace, x, wgt *Tensor, o ConvOpts, ep Epilogue, oh, ow int) *Tensor {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oc := wgt.shape[1]
 	kk := oc * o.Kernel * o.Kernel
 	out := ws.Tensor(n, oc, oh, ow)
 	colsAll := ws.Get(n * kk * h * w)

@@ -41,7 +41,7 @@ func fillGarbage(s []float32) {
 // that the vector packer ran, and that a fused conv on a stride-2 row
 // panel shape still equals the materialized one.
 func TestConvPackIm2colVectorMatchesGo(t *testing.T) {
-	kr := lookupGemmKernel("avx512")
+	kr := gemmKernels.lookup("avx512")
 	if kr == nil || !archKernelUsable(kr) {
 		t.Skip("avx512 kernel unavailable on this host")
 	}
@@ -86,11 +86,8 @@ func TestConvPackIm2colVectorMatchesGo(t *testing.T) {
 	fillRand(wgt, rng)
 	fillRand(bias, rng)
 	ep := Epilogue{Bias: bias, Act: true, Slope: 0.1}
-	prev := SetConvFusedIm2col(false)
-	want := Conv2DInfer(nil, x, wgt, sh.o, ep)
-	SetConvFusedIm2col(true)
+	want := conv2DMaterialized(nil, x, wgt, sh.o, ep)
 	got := Conv2DInfer(nil, x, wgt, sh.o, ep)
-	SetConvFusedIm2col(prev)
 	assertTensorBits(t, "stride-2 fused conv", want, got)
 }
 

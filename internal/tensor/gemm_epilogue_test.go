@@ -57,7 +57,7 @@ func tileEpilogues(rng *rand.Rand, m int) []Epilogue {
 // segments) or span three items (which must decline to the Go store).
 // Every element of C is compared, so a write outside the tile fails too.
 func TestGemmTileStoreEpilogueParity(t *testing.T) {
-	kr := lookupGemmKernel("avx512")
+	kr := gemmKernels.lookup("avx512")
 	if kr == nil || !archKernelUsable(kr) {
 		t.Skip("avx512 kernel unsupported on this CPU; its fused tile store is not exercised")
 	}
@@ -182,8 +182,6 @@ func TestConvInferBatchedRefinementMatchesMaterialized(t *testing.T) {
 		{"FastProfile", 56, 12},
 		{"PaperConfig", 256, 64},
 	}
-	prev := SetConvFusedIm2col(true)
-	defer SetConvFusedIm2col(prev)
 	for _, cfg := range configs {
 		for si, sh := range refinementConvShapes(cfg.cin, cfg.w) {
 			if !sh.eligible() {
@@ -200,9 +198,7 @@ func TestConvInferBatchedRefinementMatchesMaterialized(t *testing.T) {
 			for _, n := range []int{1, 2, 32, 40} {
 				x := New(n, sh.c, sh.h, sh.w)
 				fillRand(x, rng)
-				SetConvFusedIm2col(false)
-				want := Conv2DInfer(nil, x, wgt, sh.o, ep)
-				SetConvFusedIm2col(true)
+				want := conv2DMaterialized(nil, x, wgt, sh.o, ep)
 				for _, workers := range []int{1, 2} {
 					got := runAtWorkers(workers, func() *Tensor { return Conv2DInfer(nil, x, wgt, sh.o, ep) })
 					assertTensorBits(t, fmt.Sprintf("%s %s N=%d c=%d %dx%d oc=%d opts=%+v workers=%d",
@@ -233,7 +229,7 @@ func TestConvPackIm2colMatchesDense(t *testing.T) {
 		{1, 2, 29, 23, 0, ConvOpts{Kernel: 3, Stride: 3, Padding: 2}},
 		{2, 2, 9, 40, 0, ConvOpts{Kernel: 2, Stride: 1, Padding: 3}},
 	}
-	for _, kr := range allGemmKernels() {
+	for _, kr := range gemmKernels.all {
 		for _, sh := range shapes {
 			oh, ow := sh.o.OutDim(sh.h), sh.o.OutDim(sh.w)
 			kk := sh.c * sh.o.Kernel * sh.o.Kernel

@@ -1,14 +1,12 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
-	"os"
-	"sort"
-	"sync/atomic"
+	"slices"
 )
 
-// GEMM micro-kernel registry and runtime dispatch.
+// fp32 GEMM micro-kernels and their registry, gemmKernels (a kernelSet,
+// kernels.go).
 //
 // The packed GEMM (gemm_packed.go) is parameterised by a register-tile
 // geometry (MR×NR) and cache blocking (KC/NC). Each supported geometry +
@@ -96,60 +94,34 @@ var portableKernels = []*gemmKernel{
 	{name: "go-fma", kind: microGoFMA, ref: microGoFMA, mr: 6, nr: 16, kc: 192, nc: 128, fma: true},
 }
 
-// gemmActive is the kernel Gemm dispatches to; set at init, replaced by
-// SetGemmKernel. Reads are a single atomic load on the Gemm hot path.
-var gemmActive atomic.Pointer[gemmKernel]
-
-// gemmEnvRequest records the RHSD_GEMM_KERNEL override and whether it
-// was honored, so the kernel-matrix CI step can distinguish "forced" from
-// "fell back" and skip with a logged reason.
-var gemmEnvRequest struct {
-	name    string
-	present bool
-	honored bool
-}
-
-func allGemmKernels() []*gemmKernel {
-	ks := append([]*gemmKernel(nil), portableKernels...)
-	return append(ks, archKernels...)
-}
-
-func lookupGemmKernel(name string) *gemmKernel {
-	for _, kr := range allGemmKernels() {
-		if kr.name == name {
-			return kr
-		}
-	}
-	return nil
+// gemmKernels is the fp32 registry (kernels.go); Gemm dispatches to
+// gemmKernels.active, one atomic load on the hot path.
+var gemmKernels = kernelSet[gemmKernel]{
+	label:     "GEMM",
+	env:       "RHSD_GEMM_KERNEL",
+	all:       slices.Concat(portableKernels, archKernels),
+	preferred: archPreferred,
+	name:      func(kr *gemmKernel) string { return kr.name },
+	usable:    archKernelUsable,
 }
 
 // GemmKernels lists every registered kernel name, available or not,
 // sorted for stable output.
-func GemmKernels() []string {
-	var names []string
-	for _, kr := range allGemmKernels() {
-		names = append(names, kr.name)
-	}
-	sort.Strings(names)
-	return names
-}
+func GemmKernels() []string { return gemmKernels.names() }
 
 // GemmKernelAvailable reports whether the named kernel is registered and
 // safe to execute on this machine.
-func GemmKernelAvailable(name string) bool {
-	kr := lookupGemmKernel(name)
-	return kr != nil && archKernelUsable(kr)
-}
+func GemmKernelAvailable(name string) bool { return gemmKernels.available(name) }
 
 // GemmKernel returns the name of the kernel Gemm currently dispatches to.
-func GemmKernel() string { return gemmActive.Load().name }
+func GemmKernel() string { return gemmKernels.activeName() }
 
 // GemmKernelFamily returns the rounding family ("muladd" or "fma") of a
 // registered kernel, or "" when unknown. Kernels within one family are
 // bit-identical for the whole packed GEMM; across families results agree
 // to rounding only.
 func GemmKernelFamily(name string) string {
-	kr := lookupGemmKernel(name)
+	kr := gemmKernels.lookup(name)
 	if kr == nil {
 		return ""
 	}
@@ -162,49 +134,15 @@ func GemmKernelFamily(name string) string {
 // The swap is atomic: concurrent Gemm calls see either kernel, each call
 // using exactly one. Intended for tests, benchmarks and ops triage — the
 // RHSD_GEMM_KERNEL environment variable applies it at process start.
-func SetGemmKernel(name string) (prev string, err error) {
-	kr := lookupGemmKernel(name)
-	if kr == nil {
-		return GemmKernel(), fmt.Errorf("tensor: unknown GEMM kernel %q (have %v)", name, GemmKernels())
-	}
-	if !archKernelUsable(kr) {
-		return GemmKernel(), fmt.Errorf("tensor: GEMM kernel %q unsupported on this CPU", name)
-	}
-	old := gemmActive.Swap(kr)
-	return old.name, nil
-}
+func SetGemmKernel(name string) (prev string, err error) { return gemmKernels.swap(name) }
 
 // RequestedGemmKernel reports the RHSD_GEMM_KERNEL override: the
 // requested name, whether the variable was set, and whether the request
 // was honored (false means the kernel was unknown or unsupported and
 // dispatch fell back to the auto choice).
 func RequestedGemmKernel() (name string, present, honored bool) {
-	return gemmEnvRequest.name, gemmEnvRequest.present, gemmEnvRequest.honored
-}
-
-func init() {
-	// Widest safe kernel first; "go" is always usable.
-	var pick *gemmKernel
-	for _, name := range archPreferred {
-		if kr := lookupGemmKernel(name); kr != nil && archKernelUsable(kr) {
-			pick = kr
-			break
-		}
-	}
-	if pick == nil {
-		pick = lookupGemmKernel("go")
-	}
-	gemmActive.Store(pick)
-
-	if env, ok := os.LookupEnv("RHSD_GEMM_KERNEL"); ok {
-		gemmEnvRequest.name = env
-		gemmEnvRequest.present = true
-		if _, err := SetGemmKernel(env); err != nil {
-			fmt.Fprintf(os.Stderr, "tensor: RHSD_GEMM_KERNEL: %v; using %q\n", err, GemmKernel())
-		} else {
-			gemmEnvRequest.honored = true
-		}
-	}
+	r := gemmKernels.request
+	return r.name, r.present, r.honored
 }
 
 // gemmMicroGoFMARef is the portable reference for the FMA-family

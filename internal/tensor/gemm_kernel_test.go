@@ -13,7 +13,7 @@ func availableKernels(t *testing.T) []*gemmKernel {
 	t.Helper()
 	var ks []*gemmKernel
 	for _, name := range GemmKernels() {
-		kr := lookupGemmKernel(name)
+		kr := gemmKernels.lookup(name)
 		if !archKernelUsable(kr) {
 			t.Logf("kernel %s unsupported on this CPU; skipping", name)
 			continue
@@ -258,7 +258,7 @@ func TestGemmKernelDispatchRace(t *testing.T) {
 	want := map[string][]float32{}
 	for _, name := range names {
 		c := make([]float32, m*n)
-		gemmPackedWith(lookupGemmKernel(name), false, m, n, k, 1, a, denseB(false, k, n, b), 0, c)
+		gemmPackedWith(gemmKernels.lookup(name), false, m, n, k, 1, a, denseB(false, k, n, b), 0, c)
 		want[GemmKernelFamily(name)] = c
 	}
 
@@ -315,7 +315,7 @@ func TestGemmKernelDispatchRace(t *testing.T) {
 // (see BenchmarkGemmBlockSweep) must retune all of them together.
 func TestGemmKernelGeometry(t *testing.T) {
 	familyKC := map[string]int{}
-	for _, kr := range allGemmKernels() {
+	for _, kr := range gemmKernels.all {
 		if kr.nc%kr.nr != 0 {
 			t.Errorf("%s: nc=%d not a multiple of nr=%d", kr.name, kr.nc, kr.nr)
 		}

@@ -26,12 +26,13 @@ import (
 //     Epilogue. The avx512 kernel does this in vector code on full
 //     tiles (gemmMicroStore); every other tile goes through storeTile.
 //
-// B panels are produced by a bSource, which is either a dense matrix
-// (plain Gemm) or a virtual im2col lowering of a batch of images (the
-// fused inference-conv path, conv_infer.go) — the panel values are
-// identical either way, so fusing changes memory traffic, never
-// results. C is addressed through a cOut, which lays the columns of a
-// batched conv out item by item straight into its [N,OC,OH,OW] output.
+// B panels come from a bSource: a dense matrix (plain Gemm), the panels
+// PackB stored (GemmPreB, gemm_prepack.go), or a virtual im2col lowering
+// of a batch of images (the fused conv path, conv_infer.go) — the panel
+// values are identical in every case, so prepacking and fusing change
+// memory traffic, never results. C is addressed through a cOut, which
+// lays the columns of a batched conv out item by item straight into its
+// [N,OC,OH,OW] output.
 //
 // Determinism: the block geometry is fixed per kernel and the k-blocks
 // of one output element are always accumulated in ascending order by the
@@ -39,35 +40,42 @@ import (
 // bit-identical for every worker count. Only the grouping of the k-sum
 // differs from the unblocked kernel, so the two agree to rounding.
 
-// packBufPool recycles pack buffers across Gemm calls so steady-state
-// inference performs no heap allocations. Buffers are binned by
-// power-of-two size class; each class keeps a bounded stack so a burst of
-// concurrent training goroutines cannot pin unbounded memory.
-var packBufPool struct {
+// pool recycles pack and carry buffers across GEMM calls, so
+// steady-state inference performs no heap allocations. Buffers are
+// binned by power-of-two size class; each class keeps a bounded stack so
+// a burst of concurrent training goroutines cannot pin unbounded memory.
+type pool[T float32 | int8 | uint8 | int32] struct {
 	mu   sync.Mutex
-	bins map[int][][]float32
+	bins map[int][][]T
 }
 
-const packBufPoolPerClass = 16
+const poolPerClass = 16
 
-func packBufGet(n int) []float32 {
+var (
+	packPool   pool[float32] // fp32 A and B panels
+	qpackAPool pool[int8]    // int8 dense-entry A panels (conv A is pre-packed)
+	qbytePool  pool[uint8]   // int8 B panels and quantized activation images
+	qcarryPool pool[int32]   // int8 cross-k-block tile carries
+)
+
+func (p *pool[T]) get(n int) []T {
 	class := sizeClass(n)
-	packBufPool.mu.Lock()
-	if packBufPool.bins == nil {
-		packBufPool.bins = make(map[int][][]float32)
+	p.mu.Lock()
+	if p.bins == nil {
+		p.bins = make(map[int][][]T)
 	}
-	bin := packBufPool.bins[class]
+	bin := p.bins[class]
 	if len(bin) > 0 {
 		buf := bin[len(bin)-1]
-		packBufPool.bins[class] = bin[:len(bin)-1]
-		packBufPool.mu.Unlock()
+		p.bins[class] = bin[:len(bin)-1]
+		p.mu.Unlock()
 		return buf[:n]
 	}
-	packBufPool.mu.Unlock()
-	return make([]float32, n, 1<<class)
+	p.mu.Unlock()
+	return make([]T, n, 1<<class)
 }
 
-func packBufPut(buf []float32) {
+func (p *pool[T]) put(buf []T) {
 	if cap(buf) == 0 {
 		return
 	}
@@ -78,14 +86,14 @@ func packBufPut(buf []float32) {
 		// its size class, so drop it for the GC.
 		return
 	}
-	packBufPool.mu.Lock()
-	if packBufPool.bins == nil {
-		packBufPool.bins = make(map[int][][]float32)
+	p.mu.Lock()
+	if p.bins == nil {
+		p.bins = make(map[int][][]T)
 	}
-	if len(packBufPool.bins[class]) < packBufPoolPerClass {
-		packBufPool.bins[class] = append(packBufPool.bins[class], buf)
+	if len(p.bins[class]) < poolPerClass {
+		p.bins[class] = append(p.bins[class], buf)
 	}
-	packBufPool.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // sizeClass returns the exponent of the smallest power of two ≥ n (≥ 64
@@ -102,11 +110,17 @@ func sizeClass(n int) int {
 // everywhere (including into the parallel closure) so the serial path
 // never heap-allocates: capturing its address would force the whole
 // struct onto the heap on every call (escape analysis is
-// path-insensitive, see DESIGN §10).
+// path-insensitive, see DESIGN §10). Go also captures a variable larger
+// than 128 bytes by reference, so the struct must stay at or under that
+// size: it is 112 bytes, the packed flag sitting in the bools' padding.
+// A separate slice field for the stored panels made it 136 bytes, moved
+// bs to the heap on every call and raised a steady-state detect from
+// at most 8 allocations to 82.
 type bSource struct {
 	im2col bool
 	trans  bool      // dense only: B stored n×k instead of k×n
-	data   []float32 // dense matrix, or [items,c,h,w] images for im2col
+	packed bool      // data holds op(B) as PackedB.packFor laid it out
+	data   []float32 // dense matrix, stored panels, or [items,c,h,w] images for im2col
 	k, n   int       // op(B) dimensions
 	// im2col fields: op(B)[row, j] = image_i[ch, oy·stride+ky-pad,
 	// ox·stride+kx-pad] with row = (ch·K+ky)·K+kx and
@@ -156,6 +170,21 @@ type cOut struct {
 // Gemm contract.
 func plainOut(c []float32, n int, beta float32) cOut {
 	return cOut{data: c, cols: n, beta: beta}
+}
+
+// panels returns the B panels of block (pc..pc+kc, jc..jc+nc): packed
+// into the slot buffer pb, or, for a prepacked source, the chunk
+// PackedB.packFor stored for the block. Chunks run column block by
+// column block, k-block by k-block, and every column block before jc is
+// full width, so the chunk offset is plain arithmetic.
+func (bs bSource) panels(kr *gemmKernel, pb []float32, jc, nc, pc, kc int) []float32 {
+	if bs.packed {
+		kBlocks := (bs.k + kr.kc - 1) / kr.kc
+		nPanels := (nc + kr.nr - 1) / kr.nr
+		return bs.data[(jc/kr.nr*kBlocks+pc/kr.kc*nPanels)*kr.kc*kr.nr:]
+	}
+	bs.pack(kr, pb, jc, nc, pc, kc)
+	return pb
 }
 
 // pack lays the (pc..pc+kc, jc..jc+nc) block of op(B) out as
@@ -327,7 +356,7 @@ func (bs bSource) packRowPanel(dst []float32, nr, base, ch, ky, kx, ty, tx int) 
 }
 
 func gemmPacked(sc *ProfileScope, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	gemmPackedScoped(gemmActive.Load(), sc, transA, m, n, k, alpha, a, denseB(transB, k, n, b), plainOut(c, n, beta))
+	gemmPackedScoped(gemmKernels.active.Load(), sc, transA, m, n, k, alpha, a, denseB(transB, k, n, b), plainOut(c, n, beta))
 }
 
 // gemmPackedWith runs the packed sweep with an explicit kernel and B
@@ -345,14 +374,19 @@ func gemmPackedScoped(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int
 	kBlocks := (k + kr.kc - 1) / kr.kc
 	nBlocks := (n + kr.nc - 1) / kr.nc
 
-	pa := packBufGet(kBlocks * mPanels * kr.kc * kr.mr)
+	pa := packPool.get(kBlocks * mPanels * kr.kc * kr.mr)
 	packA(kr, transA, m, k, alpha, a, pa)
 
 	// One pack buffer per worker slot; nc is a multiple of nr for every
 	// registered kernel, so kc·nc floats hold a block's panels exactly.
-	pbStride := kr.kc * kr.nc
+	// Stored panels are read in place and need none.
 	slots := parallel.Slots(nBlocks, 1)
-	pbAll := packBufGet(slots * pbStride)
+	var pbAll []float32
+	pbStride := 0
+	if !bs.packed {
+		pbStride = kr.kc * kr.nc
+		pbAll = packPool.get(slots * pbStride)
+	}
 
 	if slots == 1 {
 		// Serial fast path: calling the named block sweep directly avoids
@@ -367,13 +401,13 @@ func gemmPackedScoped(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int
 		})
 	}
 
-	packBufPut(pbAll)
-	packBufPut(pa)
+	packPool.put(pbAll)
+	packPool.put(pa)
 	profEnd(on, sc, profGemmPacked, t0)
 }
 
-// gemmPackedBlocks sweeps column blocks [b0, b1) using the private pack
-// buffer pb for B panels.
+// gemmPackedBlocks sweeps column blocks [b0, b1), packing B panels
+// into the private buffer pb unless the source stores them.
 func gemmPackedBlocks(kr *gemmKernel, bs bSource, m, n, k int, out cOut, pa, pb []float32, kBlocks, mPanels, b0, b1 int) {
 	for blk := b0; blk < b1; blk++ {
 		jc := blk * kr.nc
@@ -387,19 +421,16 @@ func gemmPackedBlocks(kr *gemmKernel, bs bSource, m, n, k int, out cOut, pa, pb 
 			if kc > kr.kc {
 				kc = kr.kc
 			}
-			bs.pack(kr, pb, jc, nc, pc, kc)
-			gemmPackedBlockTiles(kr, m, kc, out, pa, pb, kb, kBlocks, mPanels, jc, nc)
+			gemmPackedBlockTiles(kr, m, kc, out, pa, bs.panels(kr, pb, jc, nc, pc, kc), kb, kBlocks, mPanels, jc, nc)
 		}
 	}
 }
 
 // gemmPackedBlockTiles sweeps the micro-kernel over one (column block,
-// k-block) pair whose B panels are already packed in pb — shared by the
-// per-call packers above and the prepacked-B driver (gemm_prepack.go),
-// so both consume panel data through identical tile arithmetic. Each
-// tile is finished in C as soon as the kernel produces it: the avx512
-// kernel stores full tiles itself, everything else goes through
-// storeTile, with the same per-element operations either way.
+// k-block) pair whose B panels are in pb. Each tile is finished in C as
+// soon as the kernel produces it: the avx512 kernel stores full tiles
+// itself, everything else goes through storeTile, with the same
+// per-element operations either way.
 func gemmPackedBlockTiles(kr *gemmKernel, m, kc int, out cOut, pa, pb []float32, kb, kBlocks, mPanels, jc, nc int) {
 	mr, nr := kr.mr, kr.nr
 	nPanels := (nc + nr - 1) / nr

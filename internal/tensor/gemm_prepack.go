@@ -1,27 +1,23 @@
 package tensor
 
-import (
-	"fmt"
-
-	"rhsd/internal/parallel"
-)
+import "fmt"
 
 // Prepacked B operands for the packed GEMM. A weight matrix that is
 // multiplied on the right in every inference call (Dense layers, the
 // refinement heads) pays the B-panel packing of gemm_packed.go on each
 // call even though the panel bytes never change. PackB performs that
-// packing once; GemmPreB then runs the identical block sweep over the
-// stored panels.
+// packing once; GemmPreB then runs the per-call driver,
+// gemmPackedScoped, with a bSource that reads the stored panels in place
+// instead of packing them.
 //
 // Bit-identity contract: GemmPreB(…, pb, …) produces exactly the bits
 // Gemm(…, b, …) produces for every shape — the stored panels are built
 // by the same bSource.pack the per-call path runs (same zero padding,
-// same tail handling), the tile sweep is the shared
-// gemmPackedBlockTiles, and the routing decision (gemmUsesPacked) is
-// the same shape-only test, with products routed to the row kernel
-// reading the retained raw matrix. Swapping Gemm for GemmPreB can
-// therefore never change results, only packing traffic — pinned by
-// TestGemmPreBMatchesGemm.
+// same tail handling), the driver and tile sweep are the same code, and
+// the routing decision (gemmUsesPacked) is the same shape-only test,
+// with products routed to the row kernel reading the retained raw
+// matrix. Swapping Gemm for GemmPreB can therefore never change
+// results, only packing traffic — pinned by TestGemmPreBMatchesGemm.
 //
 // Lifecycle: a PackedB is a derived view of the matrix it was built
 // from. Callers must rebuild it after the weights change; the raw slice
@@ -47,7 +43,7 @@ func PackB(trans bool, k, n int, b []float32) *PackedB {
 	if len(b) < k*n {
 		panic(fmt.Sprintf("tensor: PackB matrix has %d elements, need %d", len(b), k*n))
 	}
-	pb := &PackedB{trans: trans, k: k, n: n, raw: b, kr: gemmActive.Load()}
+	pb := &PackedB{trans: trans, k: k, n: n, raw: b, kr: gemmKernels.active.Load()}
 	pb.panels = pb.packFor(pb.kr)
 	return pb
 }
@@ -56,9 +52,8 @@ func PackB(trans bool, k, n int, b []float32) *PackedB {
 // block: chunk (blk, kb) holds the nPanels(blk) panels bSource.pack
 // produces for that block pair, each panel kr.kc·kr.nr floats (rows
 // beyond a tail k-block stay zero and are never read — the micro-kernel
-// sweeps only kc steps). The layout exactly mirrors what the per-call
-// sweep packs into its scratch buffer, so gemmPackedBlockTiles consumes
-// both identically.
+// sweeps only kc steps). Each chunk is exactly what the per-call sweep
+// packs into its slot buffer, and bSource.panels finds it there.
 func (pb *PackedB) packFor(kr *gemmKernel) []float32 {
 	bs := denseB(pb.trans, pb.k, pb.n, pb.raw)
 	kBlocks := (pb.k + kr.kc - 1) / kr.kc
@@ -102,64 +97,12 @@ func GemmPreBScoped(sc *ProfileScope, transA bool, m, n, k int, alpha float32, a
 	// Only a packed product under the kernel the panels were laid out for
 	// can use them; everything else — degenerate, row-routed, or another
 	// kernel's geometry — is exactly Gemm over the retained raw matrix.
-	if kr := gemmActive.Load(); kr == pb.kr && alpha != 0 && gemmUsesPacked(m, n, k) {
+	if kr := gemmKernels.active.Load(); kr == pb.kr && alpha != 0 && gemmUsesPacked(m, n, k) {
 		if len(c) < m*n {
 			panic("tensor: Gemm output buffer too small")
 		}
-		gemmPackedPre(kr, sc, transA, m, n, k, alpha, a, pb.panels, beta, c)
+		gemmPackedScoped(kr, sc, transA, m, n, k, alpha, a, bSource{packed: true, data: pb.panels, k: k, n: n}, plainOut(c, n, beta))
 		return
 	}
 	GemmScoped(sc, transA, pb.trans, m, n, k, alpha, a, pb.raw, beta, c)
-}
-
-// gemmPackedPre is gemmPackedWith minus the B packing: A is packed per
-// call (it changes every call), the stored B panels are indexed by the
-// same (column block, k-block) walk the per-call sweep uses.
-func gemmPackedPre(kr *gemmKernel, sc *ProfileScope, transA bool, m, n, k int, alpha float32, a []float32, pre []float32, beta float32, c []float32) {
-	on, t0 := profStart()
-	mPanels := (m + kr.mr - 1) / kr.mr
-	kBlocks := (k + kr.kc - 1) / kr.kc
-	nBlocks := (n + kr.nc - 1) / kr.nc
-
-	pa := packBufGet(kBlocks * mPanels * kr.kc * kr.mr)
-	packA(kr, transA, m, k, alpha, a, pa)
-
-	if parallel.Slots(nBlocks, 1) == 1 {
-		// Serial fast path, same closure-avoidance rationale as
-		// gemmPackedWith.
-		gemmPackedBlocksPre(kr, pre, m, n, k, plainOut(c, n, beta), pa, kBlocks, mPanels, 0, nBlocks)
-	} else {
-		parallel.ForIndexed(nBlocks, 1, func(_, b0, b1 int) {
-			gemmPackedBlocksPre(kr, pre, m, n, k, plainOut(c, n, beta), pa, kBlocks, mPanels, b0, b1)
-		})
-	}
-
-	packBufPut(pa)
-	profEnd(on, sc, profGemmPacked, t0)
-}
-
-// gemmPackedBlocksPre sweeps column blocks [b0, b1) over prepacked B
-// panels laid out by packFor.
-func gemmPackedBlocksPre(kr *gemmKernel, pre []float32, m, n, k int, out cOut, pa []float32, kBlocks, mPanels, b0, b1 int) {
-	panel := kr.kc * kr.nr
-	fullPanels := kr.nc / kr.nr // nc is a multiple of nr for every kernel
-	for blk := b0; blk < b1; blk++ {
-		jc := blk * kr.nc
-		nc := n - jc
-		if nc > kr.nc {
-			nc = kr.nc
-		}
-		nPanels := (nc + kr.nr - 1) / kr.nr
-		// Blocks before blk are all full-width, so the chunk offset is
-		// plain arithmetic rather than a prefix sum.
-		base := blk * fullPanels * kBlocks * panel
-		for kb := 0; kb < kBlocks; kb++ {
-			pc := kb * kr.kc
-			kc := k - pc
-			if kc > kr.kc {
-				kc = kr.kc
-			}
-			gemmPackedBlockTiles(kr, m, kc, out, pa, pre[base+kb*nPanels*panel:], kb, kBlocks, mPanels, jc, nc)
-		}
-	}
 }

@@ -306,10 +306,10 @@ func BenchmarkGemmSmallShapeSweep(b *testing.B) {
 			}
 		})
 		pb := PackB(false, k, n, bm)
-		kr := gemmActive.Load()
+		kr := gemmKernels.active.Load()
 		b.Run(name+"/prepacked", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPackedPre(kr, nil, false, m, n, k, 1, a, pb.panels, 0, c)
+				gemmPackedScoped(kr, nil, false, m, n, k, 1, a, bSource{packed: true, data: pb.panels, k: k, n: n}, plainOut(c, n, 0))
 			}
 		})
 	}

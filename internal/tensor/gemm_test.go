@@ -79,7 +79,7 @@ func TestGemmZeroTimesNaNPropagates(t *testing.T) {
 func TestGemmMicroKernelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, name := range GemmKernels() {
-		kr := lookupGemmKernel(name)
+		kr := gemmKernels.lookup(name)
 		if !archKernelUsable(kr) {
 			t.Logf("kernel %s unsupported on this CPU; skipping", name)
 			continue

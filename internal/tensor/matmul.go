@@ -1,49 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"rhsd/internal/parallel"
-)
-
-// MatMul returns a × b for 2-D tensors a [m,k] and b [k,n].
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v × %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	Gemm(false, false, m, n, k, 1, a.data, b.data, 0, out.data)
-	return out
-}
-
-// MatMulTransA returns aᵀ × b for a [k,m] and b [k,n].
-func MatMulTransA(a, b *Tensor) *Tensor {
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA dimension mismatch %v × %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	Gemm(true, false, m, n, k, 1, a.data, b.data, 0, out.data)
-	return out
-}
-
-// MatMulTransB returns a × bᵀ for a [m,k] and b [n,k].
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB dimension mismatch %v × %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	Gemm(false, true, m, n, k, 1, a.data, b.data, 0, out.data)
-	return out
-}
+import "rhsd/internal/parallel"
 
 // gemmMinChunkFlops is the minimum number of multiply-adds a worker chunk
 // should carry: below it goroutine hand-off costs more than the maths, so
@@ -86,7 +43,7 @@ const (
 )
 
 // gemmUsesPacked is the routing decision shared by Gemm, GemmPreB and
-// the fused-conv eligibility test (convFusedEligible): true routes the
+// Conv2DInfer's choice of the fused path: true routes the
 // product to the packed cache-blocked sweep, false to the scalar row
 // kernel. The decision depends only on the problem shape, never on the
 // worker count or the selected kernel, so results stay bit-identical

@@ -24,7 +24,7 @@ func QConv2DInfer(ws *Workspace, x *Tensor, plan *QConvPlan, o ConvOpts, ep Epil
 	oh, ow := o.OutDim(h), o.OutDim(w)
 	out := ws.Tensor(n, oc, oh, ow)
 
-	kr := qgemmActive.Load()
+	kr := qgemmKernels.active.Load()
 	pa := plan.W.packed[kr.name]
 	if pa == nil {
 		panic(fmt.Sprintf("tensor: QConv2DInfer weights not packed for int8 kernel %q", kr.name))

@@ -1,20 +1,15 @@
 package tensor
 
-import (
-	"fmt"
-	"os"
-	"sort"
-	"sync/atomic"
-)
+import "slices"
 
-// Int8 GEMM micro-kernel registry and runtime dispatch, the quantized
-// sibling of gemm_kernel.go. The packed int8 GEMM (qgemm_packed.go) is
-// parameterised the same way — MR×NR register tile, KC/NC cache
+// Int8 GEMM micro-kernels and their registry, qgemmKernels (a
+// kernelSet, kernels.go). The packed int8 GEMM (qgemm_packed.go) is
+// parameterised like the fp32 one — MR×NR register tile, KC/NC cache
 // blocking — but accumulates in int32 over k-groups of 4 bytes, the
 // granule VPDPBUSD (AVX-512 VNNI) consumes.
 //
 // Numerics: every kernel accumulates u8·s8 products exactly in int32,
-// so unlike the float32 registry there is no rounding-order concern —
+// so unlike the float32 kernels there is no rounding-order concern —
 // all kernels return bit-identical results for any geometry and any
 // input bytes (pinned by TestQGemmKernelDomainAgreement), and int8
 // outputs are the same on every host.
@@ -58,97 +53,40 @@ var qportableKernels = []*qgemmKernel{
 	{name: "qgo", kind: qmicroGoExact, mr: 4, nr: 16, kc: 256, nc: 128},
 }
 
-// qgemmActive is the kernel quantized GEMMs dispatch to.
-var qgemmActive atomic.Pointer[qgemmKernel]
-
-// qgemmEnvRequest records the RHSD_QGEMM_KERNEL override, mirroring
-// gemmEnvRequest for the quantized kernel matrix.
-var qgemmEnvRequest struct {
-	name    string
-	present bool
-	honored bool
-}
-
-func allQGemmKernels() []*qgemmKernel {
-	ks := append([]*qgemmKernel(nil), qportableKernels...)
-	return append(ks, qarchKernels...)
-}
-
-func lookupQGemmKernel(name string) *qgemmKernel {
-	for _, kr := range allQGemmKernels() {
-		if kr.name == name {
-			return kr
-		}
-	}
-	return nil
+// qgemmKernels is the int8 registry (kernels.go); quantized GEMMs
+// dispatch to qgemmKernels.active.
+var qgemmKernels = kernelSet[qgemmKernel]{
+	label:     "int8 GEMM",
+	env:       "RHSD_QGEMM_KERNEL",
+	all:       slices.Concat(qportableKernels, qarchKernels),
+	preferred: qarchPreferred,
+	name:      func(kr *qgemmKernel) string { return kr.name },
+	usable:    qarchKernelUsable,
 }
 
 // QGemmKernels lists every registered int8 kernel name, available or
 // not, sorted for stable output.
-func QGemmKernels() []string {
-	var names []string
-	for _, kr := range allQGemmKernels() {
-		names = append(names, kr.name)
-	}
-	sort.Strings(names)
-	return names
-}
+func QGemmKernels() []string { return qgemmKernels.names() }
 
 // QGemmKernelAvailable reports whether the named int8 kernel is
 // registered and safe to execute on this machine.
-func QGemmKernelAvailable(name string) bool {
-	kr := lookupQGemmKernel(name)
-	return kr != nil && qarchKernelUsable(kr)
-}
+func QGemmKernelAvailable(name string) bool { return qgemmKernels.available(name) }
 
 // QGemmKernel returns the name of the active int8 kernel.
-func QGemmKernel() string { return qgemmActive.Load().name }
+func QGemmKernel() string { return qgemmKernels.activeName() }
 
 // SetQGemmKernel makes the quantized GEMM dispatch to the named kernel
 // and returns the previously active name; unknown or unsupported names
 // error and leave dispatch unchanged. The swap is atomic, like
 // SetGemmKernel. Note layers pre-pack their quantized weights for every
 // usable kernel, so a swap needs no repacking (nn/quant.go).
-func SetQGemmKernel(name string) (prev string, err error) {
-	kr := lookupQGemmKernel(name)
-	if kr == nil {
-		return QGemmKernel(), fmt.Errorf("tensor: unknown int8 GEMM kernel %q (have %v)", name, QGemmKernels())
-	}
-	if !qarchKernelUsable(kr) {
-		return QGemmKernel(), fmt.Errorf("tensor: int8 GEMM kernel %q unsupported on this CPU", name)
-	}
-	old := qgemmActive.Swap(kr)
-	return old.name, nil
-}
+func SetQGemmKernel(name string) (prev string, err error) { return qgemmKernels.swap(name) }
 
 // RequestedQGemmKernel reports the RHSD_QGEMM_KERNEL override: requested
 // name, whether the variable was set, and whether it was honored.
 func RequestedQGemmKernel() (name string, present, honored bool) {
-	return qgemmEnvRequest.name, qgemmEnvRequest.present, qgemmEnvRequest.honored
-}
-
-func init() {
-	var pick *qgemmKernel
-	for _, name := range qarchPreferred {
-		if kr := lookupQGemmKernel(name); kr != nil && qarchKernelUsable(kr) {
-			pick = kr
-			break
-		}
-	}
-	if pick == nil {
-		pick = lookupQGemmKernel("qgo")
-	}
-	qgemmActive.Store(pick)
-
-	if env, ok := os.LookupEnv("RHSD_QGEMM_KERNEL"); ok {
-		qgemmEnvRequest.name = env
-		qgemmEnvRequest.present = true
-		if _, err := SetQGemmKernel(env); err != nil {
-			fmt.Fprintf(os.Stderr, "tensor: RHSD_QGEMM_KERNEL: %v; using %q\n", err, QGemmKernel())
-		} else {
-			qgemmEnvRequest.honored = true
-		}
-	}
+	r := qgemmKernels.request
+	return r.name, r.present, r.honored
 }
 
 // qgemmMicroGoExact is the portable exact reference:

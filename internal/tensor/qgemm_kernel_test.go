@@ -11,7 +11,7 @@ import (
 func availableQKernels(t *testing.T) []*qgemmKernel {
 	t.Helper()
 	var ks []*qgemmKernel
-	for _, kr := range allQGemmKernels() {
+	for _, kr := range qgemmKernels.all {
 		if qarchKernelUsable(kr) {
 			ks = append(ks, kr)
 		}
@@ -338,7 +338,7 @@ func TestQGemmEpilogueBiasAct(t *testing.T) {
 // on: kc a multiple of the 4-byte k-group, nc a multiple of nr, and the
 // register tile within qgemmMaxTile.
 func TestQGemmKernelGeometry(t *testing.T) {
-	for _, kr := range allQGemmKernels() {
+	for _, kr := range qgemmKernels.all {
 		if kr.kc%4 != 0 {
 			t.Errorf("%s: kc=%d not a multiple of 4", kr.name, kr.kc)
 		}

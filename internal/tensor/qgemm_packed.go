@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"sync"
-
-	"rhsd/internal/parallel"
-)
+import "rhsd/internal/parallel"
 
 // Packed cache-blocked int8 GEMM, the quantized sibling of
 // gemm_packed.go. The block structure is identical — packed A panels
@@ -31,55 +27,6 @@ import (
 // (QConvWeights), not per call: weights are immutable during inference,
 // and pre-packing for every usable kernel keeps SetQGemmKernel swaps
 // race-free.
-
-// qpool recycles typed pack/carry buffers across quantized GEMM calls,
-// mirroring packBufPool's power-of-two size classes and per-class cap.
-type qpool[T int8 | uint8 | int32] struct {
-	mu   sync.Mutex
-	bins map[int][][]T
-}
-
-func (p *qpool[T]) get(n int) []T {
-	class := sizeClass(n)
-	p.mu.Lock()
-	if p.bins == nil {
-		p.bins = make(map[int][][]T)
-	}
-	bin := p.bins[class]
-	if len(bin) > 0 {
-		buf := bin[len(bin)-1]
-		p.bins[class] = bin[:len(bin)-1]
-		p.mu.Unlock()
-		return buf[:n]
-	}
-	p.mu.Unlock()
-	return make([]T, n, 1<<class)
-}
-
-func (p *qpool[T]) put(buf []T) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:cap(buf)]
-	class := sizeClass(len(buf))
-	if 1<<class != len(buf) {
-		return
-	}
-	p.mu.Lock()
-	if p.bins == nil {
-		p.bins = make(map[int][][]T)
-	}
-	if len(p.bins[class]) < packBufPoolPerClass {
-		p.bins[class] = append(p.bins[class], buf)
-	}
-	p.mu.Unlock()
-}
-
-var (
-	qpackAPool qpool[int8]  // dense-entry A panels (conv A is pre-packed)
-	qbytePool  qpool[uint8] // B panels and quantized activation images
-	qcarryPool qpool[int32] // cross-k-block tile carries
-)
 
 // qepilogue is the fused dequantize-and-finish tail of a quantized
 // GEMM; passed by value for the same escape-analysis reason as bSource.
@@ -493,7 +440,7 @@ func qstoreTile(c []float32, n, i0, j0, mi, nj, nr int, tile []int32, ep qepilog
 // the quantized path; convolutions go through QConvWeights/QConv2DInfer
 // with pre-packed panels instead.
 func QGemmInt8(m, n, k int, aq []int8, b []uint8, deqScale []float32, corr []int32, c []float32) {
-	kr := qgemmActive.Load()
+	kr := qgemmKernels.active.Load()
 	pa := qpackAPool.get(qgemmPackedSize(kr, m, k))
 	qpackA(kr, m, k, aq, pa)
 	qgemmPackedWith(kr, m, n, k, pa, qdenseB(k, n, b), qepilogue{deqScale: deqScale, corr: corr}, c)
@@ -526,7 +473,7 @@ func NewQConvWeights(w []float32, oc, kk int) *QConvWeights {
 		rowSum[r] = s
 	}
 	packed := make(map[string][]int8)
-	for _, kr := range allQGemmKernels() {
+	for _, kr := range qgemmKernels.all {
 		if !qarchKernelUsable(kr) {
 			continue
 		}

@@ -19,7 +19,7 @@ import (
 // run it.
 func qvnniKernel(t *testing.T) *qgemmKernel {
 	t.Helper()
-	kr := lookupQGemmKernel("qvnni")
+	kr := qgemmKernels.lookup("qvnni")
 	if kr == nil || !qarchKernelUsable(kr) {
 		t.Skip("qvnni kernel unavailable on this host")
 	}

@@ -152,15 +152,6 @@ func (r *QuantRange) ObserveSlice(s []float32) {
 	}
 }
 
-// Merge folds another reducer's envelope into r.
-func (r *QuantRange) Merge(o QuantRange) {
-	if !o.seen {
-		return
-	}
-	r.Observe(o.Min)
-	r.Observe(o.Max)
-}
-
 // Observed reports whether any finite value has been folded in.
 func (r *QuantRange) Observed() bool { return r.seen }
 

@@ -109,24 +109,6 @@ func TestQuantRangeDegenerate(t *testing.T) {
 	}
 }
 
-// TestQuantRangeMerge checks the parallel-reduction merge matches
-// observing the union.
-func TestQuantRangeMerge(t *testing.T) {
-	var a, b, u QuantRange
-	a.ObserveSlice([]float32{-1, 0.5})
-	b.ObserveSlice([]float32{-0.25, 4})
-	u.ObserveSlice([]float32{-1, 0.5, -0.25, 4})
-	a.Merge(b)
-	if a.Min != u.Min || a.Max != u.Max {
-		t.Fatalf("merged envelope [%v, %v], want [%v, %v]", a.Min, a.Max, u.Min, u.Max)
-	}
-	var empty QuantRange
-	a.Merge(empty) // no-op
-	if a.Min != u.Min || a.Max != u.Max {
-		t.Fatal("merging an empty reducer changed the envelope")
-	}
-}
-
 // TestQuantizeWeightsPerChannel pins the symmetric weight scheme:
 // per-row scales, ±WeightQMax saturation symmetry, zero-range rows, and
 // non-finite poisoning.

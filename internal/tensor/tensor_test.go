@@ -110,10 +110,26 @@ func TestSumStats(t *testing.T) {
 	}
 }
 
+// matMul returns op(a)·op(b) for rank-2 tensors through Gemm, op
+// transposing the operand whose flag is set.
+func matMul(transA, transB bool, a, b *Tensor) *Tensor {
+	m, k := a.Dim(0), a.Dim(1)
+	if transA {
+		m, k = k, m
+	}
+	n := b.Dim(1)
+	if transB {
+		n = b.Dim(0)
+	}
+	c := New(m, n)
+	Gemm(transA, transB, m, n, k, 1, a.Data(), b.Data(), 0, c.Data())
+	return c
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(false, false, a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data()[i] != v {
@@ -128,7 +144,7 @@ func TestMatMulTransposedVariantsAgree(t *testing.T) {
 	b := New(5, 3)
 	a.RandN(rng, 1)
 	b.RandN(rng, 1)
-	ref := MatMul(a, b)
+	ref := matMul(false, false, a, b)
 
 	// aT stored as [5,4]: transpose manually.
 	aT := New(5, 4)
@@ -143,8 +159,8 @@ func TestMatMulTransposedVariantsAgree(t *testing.T) {
 			bT.Set(b.At(i, j), j, i)
 		}
 	}
-	got1 := MatMulTransA(aT, b)
-	got2 := MatMulTransB(a, bT)
+	got1 := matMul(true, false, aT, b)
+	got2 := matMul(false, true, a, bT)
 	for i := range ref.Data() {
 		if !almostEq(float64(got1.Data()[i]), float64(ref.Data()[i]), 1e-4) {
 			t.Fatalf("TransA mismatch at %d: %v vs %v", i, got1.Data()[i], ref.Data()[i])
@@ -230,8 +246,16 @@ func TestConv2DMatchesNaive(t *testing.T) {
 	}
 }
 
+// col2Im scatters a column matrix [c·K·K, OH·OW] into a fresh image
+// [c,h,w], accumulating overlaps: the adjoint of Im2Col.
+func col2Im(col *Tensor, c, h, w int, o ConvOpts) *Tensor {
+	x := New(c, h, w)
+	col2imInto(col.Data(), c, h, w, o, x.Data())
+	return x
+}
+
 func TestIm2ColCol2ImAdjoint(t *testing.T) {
-	// <Im2Col(x), y> == <x, Col2Im(y)> must hold exactly for the pair to be
+	// <Im2Col(x), y> == <x, col2Im(y)> must hold exactly for the pair to be
 	// valid adjoints, which is what backprop relies on.
 	rng := rand.New(rand.NewSource(3))
 	o := ConvOpts{Kernel: 3, Stride: 2, Padding: 1}
@@ -241,7 +265,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	y := New(col.Shape()[0], col.Shape()[1])
 	y.RandN(rng, 1)
 	lhs := col.Dot(y)
-	back := Col2Im(y, 2, 7, 7, o)
+	back := col2Im(y, 2, 7, 7, o)
 	rhs := x.Dot(back)
 	if !almostEq(lhs, rhs, 1e-2) {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
@@ -447,7 +471,7 @@ func TestConvOutDim(t *testing.T) {
 	}
 }
 
-// Property: Im2Col followed by Col2Im applied to a constant-one column
+// Property: Im2Col followed by col2Im applied to a constant-one column
 // counts how many output taps touch each input pixel; every interior pixel
 // of a stride-1 padded conv must be touched K*K times.
 func TestCol2ImCoverageProperty(t *testing.T) {
@@ -455,7 +479,7 @@ func TestCol2ImCoverageProperty(t *testing.T) {
 	h, w := 6, 6
 	col := New(1*3*3, o.OutDim(h)*o.OutDim(w))
 	col.Fill(1)
-	img := Col2Im(col, 1, h, w, o)
+	img := col2Im(col, 1, h, w, o)
 	for y := 1; y < h-1; y++ {
 		for x := 1; x < w-1; x++ {
 			if img.At(0, y, x) != 9 {
@@ -478,8 +502,8 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		a.RandN(rng, 1)
 		b.RandN(rng, 1)
 		c.RandN(rng, 1)
-		l := MatMul(MatMul(a, b), c)
-		r := MatMul(a, MatMul(b, c))
+		l := matMul(false, false, matMul(false, false, a, b), c)
+		r := matMul(false, false, a, matMul(false, false, b, c))
 		for i := range l.Data() {
 			if !almostEq(float64(l.Data()[i]), float64(r.Data()[i]), 1e-3) {
 				return false

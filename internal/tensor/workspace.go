@@ -18,7 +18,7 @@ package tensor
 //     the next Reset (or, for a released buffer, until its Release);
 //     Reset invalidates all of them at once.
 //   - Get returns dirty memory. Kernels writing into workspace tensors
-//     must store every element (or use GetZeroed where they accumulate).
+//     must store every element (or use ZeroTensor where they accumulate).
 //   - A Workspace is not safe for concurrent use. Every goroutine that
 //     runs inference owns its own Workspace — each megatile scan worker's
 //     model view carries one, which is what keeps the parallel scan
@@ -82,16 +82,6 @@ func (ws *Workspace) Get(n int) []float32 {
 	}
 	ws.live = append(ws.live, wsBuf{buf: buf, class: class})
 	return buf[:n]
-}
-
-// GetZeroed is Get plus an explicit zero fill, for kernels that
-// accumulate into their scratch.
-func (ws *Workspace) GetZeroed(n int) []float32 {
-	s := ws.Get(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // Tensor returns a workspace-backed tensor of the given shape with dirty

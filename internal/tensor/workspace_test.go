@@ -46,13 +46,6 @@ func TestWorkspaceZeroed(t *testing.T) {
 		s[i] = 7
 	}
 	ws.Reset()
-	z := ws.GetZeroed(64)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetZeroed[%d] = %v", i, v)
-		}
-	}
-	ws.Reset()
 	zt := ws.ZeroTensor(8, 8)
 	for i, v := range zt.Data() {
 		if v != 0 {
